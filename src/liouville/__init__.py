@@ -13,7 +13,7 @@ from .applications import (CSS, Onsager, SphericalOnsager, Verdict,
                            css_scaling_check, make_app,
                            onsager_temperature_scan, scan_rows_to_csv,
                            solve_app)
-from .config import RunConfig, thread_cap
+from .config import RunConfig
 from .grids import Grid, integrate_radial, make_grid
 from .oracles import (bubble_lambda_from_raw_center, bubble_raw_center,
                       conformal_bubble, sharp_regularity_example)
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CSS", "Onsager", "SphericalOnsager", "Verdict", "css_scaling_check",
     "make_app", "onsager_temperature_scan", "scan_rows_to_csv", "solve_app",
-    "RunConfig", "thread_cap",
+    "RunConfig",
     "Grid", "integrate_radial", "make_grid",
     "bubble_lambda_from_raw_center", "bubble_raw_center", "conformal_bubble",
     "sharp_regularity_example",

@@ -21,12 +21,10 @@ satisfy it.
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import thread_cap
 from .potentials import PowerGauss, Sphere
 from .shooting import Controls, NonexistenceError, ShootingError, solve_for_beta
 from .verify import check_identities
@@ -279,12 +277,8 @@ def onsager_temperature_scan(n, gamma, alpha_exp, beta_stat_list,
     entries = list(beta_stat_list)
     if not entries:
         raise ValueError("beta_stat_list must not be empty")
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        rows = list(pool.map(
-            lambda b: _scan_entry(n, gamma, alpha_exp, b, controls,
-                                  psi0_threshold, inner_mass_threshold),
-            entries))
-    return rows
+    return [_scan_entry(n, gamma, alpha_exp, b, controls, psi0_threshold,
+                        inner_mass_threshold) for b in entries]
 
 
 def scan_rows_to_csv(rows, path):

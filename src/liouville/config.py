@@ -1,4 +1,4 @@
-"""Flat key=value run configuration and the parallelism cap.
+"""Flat key=value run configuration.
 
 The config format is one ``key=value`` pair per line, ``#`` comments allowed.
 Values keep their type through a save/load cycle: booleans serialize as
@@ -6,21 +6,7 @@ true/false, ints bare, floats via repr (full precision), everything else as
 the raw string.  Values may contain ``=`` (only the first one splits).
 """
 
-import os
 from dataclasses import dataclass, field
-
-
-def thread_cap():
-    """Worker-pool size, capped by the LIOUVILLE_THREADS environment variable."""
-    default = min(8, os.cpu_count() or 1)
-    raw = os.environ.get("LIOUVILLE_THREADS", "")
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, min(n, 64))
 
 
 def _format_value(v):

@@ -25,7 +25,7 @@ import numpy as np
 
 __all__ = [
     "Constant", "PowerGauss", "Sphere", "LogSingular", "Tabulated",
-    "evaluate", "alpha_of_v", "check_conditions", "ConditionReport",
+    "alpha_of_v", "check_conditions", "ConditionReport",
     "parse_potential", "load_tabulated",
 ]
 
@@ -35,9 +35,8 @@ def _safe_pow(r, p):
     r = np.asarray(r, dtype=float)
     if p == 0:
         return np.ones_like(r)
-    with np.errstate(divide="ignore"):
-        out = np.where(r > 0, np.power(r, p, where=r > 0), 0.0 if p > 0 else np.inf)
-    return out
+    out = np.full_like(r, 0.0 if p > 0 else np.inf)
+    return np.power(r, p, out=out, where=r > 0)
 
 
 class Potential:
@@ -299,11 +298,6 @@ def load_tabulated(path):
 # ---------------------------------------------------------------------------
 # structural quantities
 # ---------------------------------------------------------------------------
-
-def evaluate(V, r):
-    """(V(r), V'(r)) with exact closed forms for catalog variants."""
-    return V.value_and_derivative(r)
-
 
 def alpha_of_v(V):
     """sup{α : ∫_{|x|>1} |V| |x|^{2α} dx < ∞}; +inf when every α qualifies.

@@ -30,15 +30,13 @@ model ψ(t) ≈ ψ(r_max) + u(r_max)·log(t/r_max), leaving an O(tail²) error i
 
 import math
 import warnings
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
-from .config import thread_cap
-from .grids import Grid, make_grid
+from .grids import make_grid
 from .potentials import Constant, LogSingular, PowerGauss, Sphere
 from .solution import NormalizedSolution
 
@@ -87,24 +85,38 @@ class Controls:
 
 @dataclass
 class ShootResult:
-    """One raw trajectory: profile samples plus the mass-map summary."""
+    """One raw trajectory: the mass-map summary plus its dense sampler.
+
+    The output grid and the profile columns ``psi`` (ψ), ``dpsi`` (rψ′),
+    ``phi`` (φ = ∂_s ψ) and ``dphi`` (rφ′) are built from the sampler on
+    first access, so callers that read only β(s) and β′(s) never sample.
+    """
 
     s: float
     n: float
     sigma: int
-    grid: Grid
-    psi: np.ndarray      # ψ(rᵢ, s)
-    dpsi: np.ndarray     # r ψ′
-    phi: np.ndarray      # φ(rᵢ, s) = ∂_s ψ
-    dphi: np.ndarray     # r φ′
     beta_s: float        # tail-corrected β(s)
     beta_prime_s: float  # tail-corrected β′(s)
     r_max: float
     tail_mass: float     # estimated ∫_{r_max}^∞ tⁿ⁺¹V e^ψ dt
     converged: bool
     potential: object
+    n_sample: int        # output grid size
+    _sampler: object
     diagnostics: dict = field(default_factory=dict)
-    _sampler: object = None
+
+    @cached_property
+    def grid(self):
+        return make_grid(self.r_max, self.n_sample, grading="log")
+
+    @cached_property
+    def _columns(self):
+        return self.sample(self.grid.nodes)
+
+    psi = property(lambda self: self._columns[0])
+    dpsi = property(lambda self: self._columns[1])
+    phi = property(lambda self: self._columns[2])
+    dphi = property(lambda self: self._columns[3])
 
     @property
     def mass_raw(self):
@@ -113,9 +125,7 @@ class ShootResult:
 
     def sample(self, r):
         """(ψ, rψ′, φ, rφ′) at arbitrary radii (series + dense interpolants)."""
-        if self._sampler is None:
-            raise ValueError("result carries no dense interpolant")
-        return self._sampler(np.asarray(r, dtype=float))
+        return self._sampler(r)
 
     def to_normalized(self, grid=None):
         """Shift to ψ̃ = ψ − log(4π|β|) with unit total mass."""
@@ -163,21 +173,32 @@ def _smooth_scalar_fn(V):
 
 
 class _Sampler:
-    """Piecewise evaluator: power series below r0, dense segments above."""
+    """Piecewise evaluator: power series below r0, dense segments above.
 
-    def __init__(self, series, segments, x_end):
+    Segment k covers log r up to ``bounds[k]``; points past the last bound
+    are clamped onto it.
+    """
+
+    def __init__(self, series, x0):
         self.series = series          # (s, sigma, a, n_eff)
-        self.segments = segments      # list of (x_lo, x_hi, OdeSolution)
-        self.bounds = [seg[1] for seg in segments]
-        self.x0 = segments[0][0] if segments else -math.inf
-        self.x_end = x_end
+        self.x0 = x0
+        self.bounds = []
+        self.pieces = []              # OdeSolution per segment
+
+    def add(self, x_hi, sol):
+        self.bounds.append(x_hi)
+        self.pieces.append(sol)
 
     def __call__(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty((4, r.size))
-        s, sigma, a, n_eff = self.series
         with np.errstate(divide="ignore"):
             x = np.log(np.maximum(r, 1e-300))
+        return tuple(self.at_log_r(x))
+
+    def at_log_r(self, x):
+        """(ψ, rψ′, φ, rφ′) as rows of a 4×N array, at log-radii x."""
+        out = np.empty((4, x.size))
+        s, sigma, a, n_eff = self.series
         below = x < self.x0
         if np.any(below):
             t = a * np.exp((n_eff + 2.0) * x[below])
@@ -185,12 +206,14 @@ class _Sampler:
             out[1, below] = -sigma * (n_eff + 2.0) * t
             out[2, below] = 1.0 - sigma * t
             out[3, below] = -sigma * (n_eff + 2.0) * t
-        idx_above = np.nonzero(~below)[0]
-        for i in idx_above:
-            xi = min(x[i], self.x_end)
-            k = min(bisect_right(self.bounds, xi), len(self.segments) - 1)
-            out[:, i] = self.segments[k][2](xi)
-        return out[0], out[1], out[2], out[3]
+        idx = np.flatnonzero(~below)
+        xa = np.minimum(x[idx], self.bounds[-1])
+        seg = np.minimum(np.searchsorted(self.bounds, xa, side="right"),
+                         len(self.pieces) - 1)
+        for k in np.unique(seg):
+            pick = seg == k
+            out[:, idx[pick]] = self.pieces[k](xa[pick])
+        return out
 
 
 def _tail_integrals(V, n_eff, x_end, psi_end, u_end, phi_end, w_end):
@@ -277,7 +300,7 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     r_target = c.r_max_init if auto else float(c.r_max)
     if r_target <= r0 * 2.0:
         r_target = r0 * 4.0
-    segments = []
+    sampler = _Sampler((s, sigma, a, n_eff), x0)
     x_cur = x0
     tail_m = math.inf
     tail_q = 0.0
@@ -302,7 +325,7 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
                     f"mass did not converge at r_max = {math.exp(x_target):g}:"
                     f" e^psi blows up near r = {math.exp(sol.t[-1]):g}")
             raise ShootingError(f"integrator failure: {sol.message}")
-        segments.append((x_cur, x_target, sol.sol))
+        sampler.add(x_target, sol.sol)
         y = sol.y[:, -1]
         x_cur = x_target
 
@@ -315,7 +338,7 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
             converged = True
         elif x_cur - x0 > math.log(10.0):
             # plateau stopper: slope change over the last decade
-            u_back = _eval_chain(segments, x_cur - math.log(10.0))[1]
+            u_back = sampler.at_log_r(np.array([x_cur - math.log(10.0)]))[1, 0]
             if abs(u_end - u_back) < _PLATEAU_TOL:
                 converged = True
                 plateau = True
@@ -335,44 +358,25 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     w_inf = w_end - sigma * tail_q
     beta_prime = -w_inf / 2.0
 
-    r_max = math.exp(x_cur)
-    sampler = _Sampler((s, sigma, a, n_eff), segments, x_cur)
-    grid = make_grid(r_max, c.n_sample, grading="log")
-    psi_s, u_s, phi_s, w_s = sampler(grid.nodes)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_bound = np.max(np.abs(phi_s) / np.log(grid.nodes + 2.0))
-    diagnostics = {
-        "sup_r_phi_prime": float(np.max(np.abs(w_s))),
-        "phi_log_bound": float(log_bound),
-        "plateau_stop": plateau,
-        "n_segments": len(segments),
-        "r_series": r0,
-    }
     return ShootResult(
-        s=float(s), n=float(n), sigma=sigma, grid=grid, psi=psi_s, dpsi=u_s,
-        phi=phi_s, dphi=w_s, beta_s=float(beta), beta_prime_s=float(beta_prime),
-        r_max=r_max, tail_mass=float(tail_m), converged=converged,
-        potential=V, diagnostics=diagnostics, _sampler=sampler)
-
-
-def _eval_chain(segments, x):
-    bounds = [seg[1] for seg in segments]
-    k = min(bisect_right(bounds, x), len(segments) - 1)
-    x_lo = segments[k][0]
-    return segments[k][2](max(x, x_lo))
+        s=float(s), n=float(n), sigma=sigma, beta_s=float(beta),
+        beta_prime_s=float(beta_prime), r_max=math.exp(x_cur),
+        tail_mass=float(tail_m), converged=converged, potential=V,
+        n_sample=c.n_sample, _sampler=sampler,
+        diagnostics={"plateau_stop": plateau,
+                     "n_segments": len(sampler.pieces), "r_series": r0})
 
 
 def mass_map(V, n, s_list, controls=None, sigma=1):
-    """Evaluate (s, β(s), β′(s)) over s_list, concurrently; errors per entry.
+    """Evaluate (s, β(s), β′(s)) over s_list in input order; errors per entry.
 
     Interior entries also record a centered-difference cross-check of β′.
     """
     s_list = list(s_list)
     if not s_list:
         raise ValueError("s_list must be non-empty")
-
-    def one(s):
+    entries = []
+    for s in s_list:
         entry = MassMapEntry(s=float(s))
         try:
             res = integrate_ivp(V, n, s, controls, sigma)
@@ -380,10 +384,7 @@ def mass_map(V, n, s_list, controls=None, sigma=1):
             entry.beta_prime = res.beta_prime_s
         except (ShootingError, ValueError) as exc:
             entry.error = str(exc)
-        return entry
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        entries = list(pool.map(one, s_list))
+        entries.append(entry)
 
     order = sorted(range(len(entries)), key=lambda i: entries[i].s)
     for j in range(1, len(order) - 1):
@@ -459,15 +460,20 @@ def _bracket_search(shoot, beta_target, s_lo, s_hi, root_tol, max_expand=10):
 
 
 def _nonexistence(beta_target, history):
-    finite = [b for _, b in history if math.isfinite(b)] or [math.nan]
+    finite = [b for _, b in history if math.isfinite(b)]
     s_vals = [s for s, _ in history]
+    s_range = (min(s_vals), max(s_vals))
+    where = f"s in [{s_range[0]:g}, {s_range[1]:g}]"
+    if not finite:
+        raise NonexistenceError(
+            f"target beta = {beta_target:g} unreachable — likely "
+            f"nonexistence: every trajectory diverged over {where}",
+            s_range=s_range)
     raise NonexistenceError(
         f"target beta = {beta_target:g} outside bracket — likely "
         f"nonexistence, cf. threshold n > beta - 2; scanned beta(s) range "
-        f"[{min(finite):.6g}, {max(finite):.6g}] over s in "
-        f"[{min(s_vals):g}, {max(s_vals):g}]",
-        beta_range=(min(finite), max(finite)),
-        s_range=(min(s_vals), max(s_vals)))
+        f"[{min(finite):.6g}, {max(finite):.6g}] over {where}",
+        beta_range=(min(finite), max(finite)), s_range=s_range)
 
 
 def solve_for_beta(V, n, beta_target, bracket, controls=None):

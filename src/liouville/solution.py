@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .grids import Grid, make_grid
+from .grids import Grid, _trapezoid_weights
 from .potentials import parse_potential
 
 CSV_HEADER = ["r", "psi", "r_dpsi", "mass"]
@@ -140,7 +140,7 @@ class NormalizedSolution:
             raise ValueError(f"{cpath}: no rows")
         data = np.asarray(rows, dtype=float)
         nodes = data[:, 0]
-        weights = _trapezoid_like(nodes)
+        weights = _trapezoid_weights(nodes)
         grid = Grid(nodes=nodes, weights=weights, r_max=float(nodes[-1]),
                     grading=header.get("grading", "loaded"))
         pot = None
@@ -157,14 +157,6 @@ class NormalizedSolution:
                    meta=dict(header.get("meta", {})))
 
 
-def _trapezoid_like(nodes):
-    d = np.diff(nodes)
-    w = np.zeros_like(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -175,8 +167,3 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
-
-
-def default_output_grid(r_max, n_nodes=8192):
-    """The standard log-graded grid solutions are sampled on."""
-    return make_grid(r_max, n_nodes, grading="log")

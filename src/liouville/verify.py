@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 from .potentials import Tabulated
 from .shooting import pokhozhaev_P
@@ -119,11 +119,9 @@ def _index_integral(sol, V):
 
     cutoff = getattr(V, "cutoff_radius", None)
     if cutoff is None or cutoff <= r[0] or cutoff > r[-1]:
-        from scipy.integrate import simpson
         bulk = simpson(y, x=x)
         jump = 0.0
     else:
-        from scipy.integrate import simpson
         k = int(np.searchsorted(r, cutoff, side="right") - 1)
         bulk = simpson(y[:k + 1], x=x[:k + 1]) if k >= 2 else 0.0
         psi_alpha = float(sol.psi_at(cutoff))

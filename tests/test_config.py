@@ -1,4 +1,4 @@
-"""Flat key=value config round-trips and the worker-pool cap."""
+"""Flat key=value config round-trips."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville.config import RunConfig, thread_cap
+from liouville.config import RunConfig
 
 _KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True)
 
@@ -88,14 +88,3 @@ def test_get_with_default():
     assert cfg.get("absent", 7) == 7
     assert cfg["present"] == 2.5
 
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("LIOUVILLE_THREADS", raising=False)
-    default = thread_cap()
-    assert 1 <= default <= 8
-    monkeypatch.setenv("LIOUVILLE_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("LIOUVILLE_THREADS", "0")
-    assert thread_cap() == 1            # clamped from below
-    monkeypatch.setenv("LIOUVILLE_THREADS", "not-a-number")
-    assert thread_cap() == default

@@ -1,6 +1,7 @@
 """Weight catalog: values, derivatives, structure constants, parsing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from liouville.potentials import (
-    Constant, LogSingular, PowerGauss, Sphere, Tabulated,
-    alpha_of_v, check_conditions, evaluate, load_tabulated, parse_potential,
+    Constant, LogSingular, PowerGauss, Sphere, Tabulated, _safe_pow,
+    alpha_of_v, check_conditions, load_tabulated, parse_potential,
 )
 
 
 def fd_derivative(V, r, h=1e-6):
-    vp, _ = evaluate(V, r + h)
-    vm, _ = evaluate(V, r - h)
+    vp, _ = V.value_and_derivative(r + h)
+    vm, _ = V.value_and_derivative(r - h)
     return (vp - vm) / (2.0 * h)
 
 
@@ -33,7 +34,7 @@ def test_analytic_derivative_matches_finite_difference(V):
     if cutoff is not None:
         rs = [0.3 * cutoff, 0.7 * cutoff, 0.95 * cutoff]
     for r in rs:
-        v, dv = evaluate(V, r)
+        v, dv = V.value_and_derivative(r)
         assert v >= 0
         assert dv == pytest.approx(fd_derivative(V, r), rel=2e-5, abs=1e-8)
 
@@ -41,23 +42,38 @@ def test_analytic_derivative_matches_finite_difference(V):
 def test_vectorized_evaluation_matches_scalar():
     V = PowerGauss(n_pow=1.0, gamma=0.5, alpha_exp=2.0)
     rs = np.array([0.0, 0.1, 1.0, 4.0])
-    v, dv = evaluate(V, rs)
+    v, dv = V.value_and_derivative(rs)
     for i, r in enumerate(rs):
-        vi, dvi = evaluate(V, float(r))
+        vi, dvi = V.value_and_derivative(float(r))
         assert v[i] == vi and dv[i] == dvi
+
+
+def test_safe_pow_at_origin_emits_no_warning():
+    r = np.array([0.0, 0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(_safe_pow(r, 1.5),
+                                      [0.0, 0.5 ** 1.5, 2.0 ** 1.5])
+        np.testing.assert_array_equal(_safe_pow(r, -0.5),
+                                      [np.inf, 0.5 ** -0.5, 2.0 ** -0.5])
+        # n_pow − 1 < 0: the derivative takes the r = 0 branch of a negative power
+        v, dv = PowerGauss(n_pow=0.5, gamma=1.0,
+                           alpha_exp=2.0).value_and_derivative(r)
+    assert v[0] == 0.0 and dv[0] == np.inf
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(dv[1:]))
 
 
 def test_gaussian_values():
     V = PowerGauss(n_pow=0.0, gamma=1.0, alpha_exp=2.0)
-    v, dv = evaluate(V, 1.0)
+    v, dv = V.value_and_derivative(1.0)
     assert v == pytest.approx(math.exp(-1.0))
     assert dv == pytest.approx(-2.0 * math.exp(-1.0))
-    assert evaluate(V, 0.0)[0] == 1.0
+    assert V.value_and_derivative(0.0)[0] == 1.0
 
 
 def test_sphere_value_at_origin():
     V = Sphere(l=-2.0, gamma=1.0)
-    v, dv = evaluate(V, 0.0)
+    v, dv = V.value_and_derivative(0.0)
     assert v == pytest.approx(math.exp(2.0))
     assert dv == 0.0
 
@@ -67,13 +83,13 @@ def test_log_singular_matches_formula_and_cutoff():
     V = LogSingular(alpha_cut=a)
     assert V.beta == pytest.approx(-0.25)
     r = 0.5 * a
-    v, _ = evaluate(V, r)
+    v, _ = V.value_and_derivative(r)
     c = -math.log(a) / (2.0 * math.pi)
     assert v == pytest.approx(c / (r * r * (-math.log(r)) ** 1.5))
-    assert evaluate(V, 1.01 * a)[0] == 0.0
-    assert V.cutoff_jump() == pytest.approx(evaluate(V, a)[0])
+    assert V.value_and_derivative(1.01 * a)[0] == 0.0
+    assert V.cutoff_jump() == pytest.approx(V.value_and_derivative(a)[0])
     with pytest.raises(ValueError):
-        evaluate(V, 0.0)
+        V.value_and_derivative(0.0)
 
 
 def test_log_singular_truncated_mass_follows_log_law():
@@ -95,7 +111,7 @@ def test_log_singular_truncated_mass_follows_log_law():
 def test_negative_power_rejects_origin():
     V = PowerGauss(n_pow=-0.5, gamma=1.0, alpha_exp=2.0)
     with pytest.raises(ValueError):
-        evaluate(V, 0.0)
+        V.value_and_derivative(0.0)
 
 
 def test_smooth_value_is_finite_at_origin():
@@ -228,7 +244,7 @@ def test_tabulated_rejects_negative_values():
        a=st.floats(0.5, 3.0), r=st.floats(0.01, 20.0))
 def test_power_gauss_derivative_property(npw, gamma, a, r):
     V = PowerGauss(n_pow=npw, gamma=gamma, alpha_exp=a)
-    v, dv = evaluate(V, r)
+    v, dv = V.value_and_derivative(r)
     assert v >= 0
     step = 1e-5 * max(r, 1.0)
     fd = (V.value(r + step) - V.value(r - step)) / (2.0 * step)

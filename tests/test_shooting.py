@@ -9,10 +9,12 @@ truth; the adaptive backend must land on it.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+from liouville import shooting
 from liouville.oracles import conformal_bubble
 from liouville.potentials import Constant, LogSingular, PowerGauss
 from liouville.shooting import (Controls, MassDivergence, NonexistenceError,
@@ -68,6 +70,37 @@ def test_trajectory_monotone_and_phi_normalized():
     assert np.all(res.dpsi <= 1e-12)
     assert res.phi[0] == pytest.approx(1.0, abs=1e-6)
     assert res.tail_mass >= 0.0
+
+
+def _scalar_sample(sampler, x):
+    """Per-node reference: series below x0, else one OdeSolution call."""
+    s, sigma, a, n_eff = sampler.series
+    if x < sampler.x0:
+        t = a * math.exp((n_eff + 2.0) * x)
+        return np.array([s - sigma * t, -sigma * (n_eff + 2.0) * t,
+                         1.0 - sigma * t, -sigma * (n_eff + 2.0) * t])
+    xi = min(x, sampler.bounds[-1])
+    k = min(bisect_right(sampler.bounds, xi), len(sampler.pieces) - 1)
+    return sampler.pieces[k](xi)
+
+
+def test_vectorized_sampler_matches_scalar_evaluation():
+    # the bubble's r⁻⁴ tail needs several doublings of r_max
+    res = integrate_ivp(Constant(1.0), 0.0, 0.0)
+    sampler = res._sampler
+    assert len(sampler.pieces) >= 3
+    x0, bounds = sampler.x0, sampler.bounds
+    x = np.concatenate([
+        [x0 - 5.0, np.nextafter(x0, -np.inf), x0],
+        bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
+        np.linspace(x0 - 1.0, bounds[-1] + 2.0, 257),
+        [bounds[-1] + 10.0]])
+    ref = np.array([_scalar_sample(sampler, xi) for xi in x]).T
+    np.testing.assert_array_equal(sampler.at_log_r(x), ref)
+    r = np.concatenate([[0.0], np.exp(x)])
+    ref_r = np.array([_scalar_sample(sampler, xi) for xi in
+                      np.log(np.maximum(r, 1e-300))]).T
+    np.testing.assert_array_equal(np.array(res.sample(r)), ref_r)
 
 
 def test_blowup_reports_mass_divergence():
@@ -127,6 +160,22 @@ def test_mass_map_empty_errors():
         mass_map(GAUSS, 0.0, [])
 
 
+def test_mass_map_keeps_order_and_per_entry_errors():
+    # σ = −1 with the Gaussian weight blows up for s above log 4
+    s_list = [1.6, -1.0, 2.0, 0.5, 0.0]
+    entries = mass_map(GAUSS, 0.0, s_list, sigma=-1)
+    assert [e.s for e in entries] == s_list
+    bad = [e.s for e in entries if e.error is not None]
+    assert bad == [1.6, 2.0]
+    assert all("did not converge" in e.error for e in entries if e.error)
+    good = [e for e in entries if e.error is None]
+    assert all(e.beta < 0.0 and math.isfinite(e.beta_prime) for e in good)
+    for e in good:
+        assert e.beta == integrate_ivp(GAUSS, 0.0, e.s, sigma=-1).beta_s
+    assert [math.isnan(e.beta_prime_fd) for e in entries] == \
+        [True, True, True, True, False]
+
+
 def test_mass_map_keeps_going_past_bad_entries():
     entries = mass_map(Constant(1.0), 0.0, [0.0, 1.0], sigma=-1)
     assert all(e.error is not None for e in entries)
@@ -154,6 +203,30 @@ def test_solve_for_beta_negative_coupling():
     assert sol.dpsi[-1] == pytest.approx(2.0, abs=1e-3)
 
 
+def test_solve_for_beta_is_the_accepted_trajectory():
+    sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))
+    ref = integrate_ivp(GAUSS, 0.0, sol.meta["s_star"]).to_normalized()
+    assert sol.beta == ref.beta
+    for name in ("psi", "dpsi", "mass"):
+        np.testing.assert_array_equal(getattr(sol, name), getattr(ref, name))
+    np.testing.assert_array_equal(sol.grid.nodes, ref.grid.nodes)
+    np.testing.assert_array_equal(sol.grid.weights, ref.grid.weights)
+
+
+def test_solve_for_beta_samples_one_trajectory(monkeypatch):
+    make_grid = shooting.make_grid
+    calls = []
+
+    def counting_make_grid(*args, **kwargs):
+        calls.append(args)
+        return make_grid(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "make_grid", counting_make_grid)
+    sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))
+    assert sol.meta["root_iterations"] > 1
+    assert len(calls) == 1
+
+
 def test_solve_for_beta_zero_target_rejected():
     with pytest.raises(ValueError, match="nonzero"):
         solve_for_beta(GAUSS, 0.0, 0.0, (-3.0, 3.0))
@@ -166,6 +239,18 @@ def test_unreachable_beta_is_nonexistence():
     err = excinfo.value
     assert err.beta_range is not None and err.beta_range[1] < 2.5
     assert err.s_range is not None
+
+
+def test_all_diverged_nonexistence_message_has_no_nan():
+    # negative coupling with a non-decaying weight: every trajectory blows up
+    with pytest.raises(NonexistenceError, match="every trajectory diverged") \
+            as excinfo:
+        solve_for_beta(Constant(1.0), 0.0, -1.0, (-4.0, 4.0))
+    err = excinfo.value
+    assert "nan" not in str(err).lower()
+    assert err.beta_range is None
+    assert err.s_range == (-4.0, 4.0)
+    assert "[-4, 4]" in str(err)
 
 
 def test_saturating_map_never_fakes_a_root():
