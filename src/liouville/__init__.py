@@ -21,13 +21,13 @@ from .potentials import (Constant, LogSingular, Potential, PowerGauss,
                          Sphere, Tabulated, alpha_of_v, check_conditions,
                          load_tabulated, parse_potential)
 from .shooting import (Controls, MassDivergence, NonexistenceError,
-                       ShootingError, integrate_ivp, mass_map, pokhozhaev_P,
-                       solve_for_beta)
+                       ShootingError, integrate_ivp, mass_map, solve_for_beta)
 from .solution import NormalizedSolution
 from .variational import (EnergyUnboundedError, Gauge, MinimizeResult,
-                          VariationalControls, build_gauge, energy, minimize,
-                          to_solution, variational_solve)
-from .verify import IdentityReport, check_identities, compare_solutions
+                          build_gauge, energy, minimize, to_solution,
+                          variational_solve)
+from .verify import (IdentityReport, check_identities, compare_solutions,
+                     pokhozhaev_P)
 
 __version__ = "0.1.0"
 
@@ -42,10 +42,10 @@ __all__ = [
     "Tabulated", "alpha_of_v", "check_conditions", "load_tabulated",
     "parse_potential",
     "Controls", "MassDivergence", "NonexistenceError", "ShootingError",
-    "integrate_ivp", "mass_map", "pokhozhaev_P", "solve_for_beta",
+    "integrate_ivp", "mass_map", "solve_for_beta",
     "NormalizedSolution",
-    "EnergyUnboundedError", "Gauge", "MinimizeResult", "VariationalControls",
+    "EnergyUnboundedError", "Gauge", "MinimizeResult",
     "build_gauge", "energy", "minimize", "to_solution", "variational_solve",
-    "IdentityReport", "check_identities", "compare_solutions",
+    "IdentityReport", "check_identities", "compare_solutions", "pokhozhaev_P",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import PowerGauss, Sphere
-from .shooting import Controls, NonexistenceError, ShootingError, solve_for_beta
+from .shooting import NonexistenceError, ShootingError, solve_for_beta
 from .verify import check_identities
 
 __all__ = [

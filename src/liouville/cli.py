@@ -273,7 +273,7 @@ def verify(solution_file, potential_spec, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def oracle(kind, lam, n_fam, alpha, radius, nodes, out_path):
     """Write an exact reference solution for solver cross-checks."""
-    grid = make_grid(radius, nodes, grading="log")
+    grid = make_grid(radius, nodes)
     if kind == "bubble":
         sol = conformal_bubble(n_fam, lam, grid)
     else:

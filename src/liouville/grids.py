@@ -2,8 +2,8 @@
 
 All planar integrals in this suite are rotationally symmetric, so they reduce
 to one-dimensional weighted integrals over [0, r_max].  Grids carry composite
-trapezoid weights on graded nodes; profiles sampled at the nodes integrate
-directly, without re-interpolation.
+trapezoid weights on nodes spaced uniformly in log r; profiles sampled at the
+nodes integrate directly, without re-interpolation.
 
 The origin is special: the smallest node r0 is strictly positive (singular
 weights may not be evaluable at r = 0) and the cell [0, r0] is integrated with
@@ -38,7 +38,7 @@ class Grid:
     nodes: np.ndarray
     weights: np.ndarray
     r_max: float
-    grading: str
+    grading: str      # "log" from make_grid; a loaded grid keeps its label
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -64,36 +64,21 @@ def _trapezoid_weights(nodes):
     return w
 
 
-def make_grid(r_max, n_nodes, grading="log", power_p=2.0):
-    """Build a radial grid on (0, r_max] with the requested node grading.
+def make_grid(r_max, n_nodes):
+    """Build a log-graded radial grid on (0, r_max].
 
-    grading:
-        "log"     — geometric spacing from LOG_FLOOR·r_max up to r_max
-                    (≥ 25% of nodes land below r_max/100, resolving the origin)
-        "uniform" — r_max·i/n for i = 1..n
-        "power"   — r_max·(i/n)^power_p, concentrating nodes near the origin
+    Nodes are spaced geometrically from LOG_FLOOR·r_max up to r_max, so at
+    least 25% of them land below r_max/100 and resolve the origin.
     """
     if not (r_max > 0) or not np.isfinite(r_max):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if n_nodes < MIN_NODES:
         raise ValueError(f"n_nodes must be at least {MIN_NODES}, got {n_nodes}")
 
-    i = np.arange(1, n_nodes + 1, dtype=float)
-    if grading == "log":
-        nodes = np.geomspace(LOG_FLOOR * r_max, r_max, n_nodes)
-        nodes[-1] = r_max  # guard against geomspace round-off at the endpoint
-    elif grading == "uniform":
-        nodes = r_max * i / n_nodes
-    elif grading == "power":
-        if power_p <= 0:
-            raise ValueError("power grading needs power_p > 0")
-        nodes = r_max * (i / n_nodes) ** power_p
-        grading = f"power({power_p:g})"
-    else:
-        raise ValueError(f"unknown grading {grading!r}")
-
+    nodes = np.geomspace(LOG_FLOOR * r_max, r_max, n_nodes)
+    nodes[-1] = r_max  # guard against geomspace round-off at the endpoint
     return Grid(nodes=nodes, weights=_trapezoid_weights(nodes), r_max=float(r_max),
-                grading=grading)
+                grading="log")
 
 
 def _samples(grid, g):

@@ -12,9 +12,10 @@ Every weight used by the suite is non-negative and radial.  The catalog:
 Two structural quantities drive existence theory and are exposed here:
 
   * the integrability exponent α(V) = sup{α : ∫_{|x|>1} |V| |x|^{2α} dx < ∞},
-  * the finiteness conditions on ∫_{D(0,1)} V⁺ |x|^{−β−δ},
-    ∫_{|x|>1} V⁺ |x|^{−β+δ} and ∫_{|x|>1} V⁻ |x|^{−2β} for a coupling β and
-    margin δ > 0 (V⁻ ≡ 0 for the whole catalog).
+  * the finiteness conditions on ∫_{D(0,1)} |x|ⁿV⁺ |x|^{−β−δ},
+    ∫_{|x|>1} |x|ⁿV⁺ |x|^{−β+δ} and ∫_{|x|>1} V⁻ |x|^{−2β} for a coupling β,
+    margin δ > 0 and the problem weight |x|ⁿV (V⁻ ≡ 0 for the whole
+    catalog).
 """
 
 import csv
@@ -341,8 +342,8 @@ class ConditionReport:
     delta: float
     alpha_v: float
     min_condition_ok: bool       # β ≥ −α(V)
-    origin_integral_ok: bool     # ∫_{D(0,1)} V⁺ |x|^{−β−δ} < ∞
-    infinity_integral_ok: bool   # ∫_{|x|>1} V⁺ |x|^{−β+δ} < ∞
+    origin_integral_ok: bool     # ∫_{D(0,1)} |x|ⁿV⁺ |x|^{−β−δ} < ∞
+    infinity_integral_ok: bool   # ∫_{|x|>1} |x|ⁿV⁺ |x|^{−β+δ} < ∞
     vminus_integral_ok: bool     # ∫_{|x|>1} V⁻ |x|^{−2β} < ∞ (V⁻ ≡ 0 here)
     positivity_annulus_ok: bool
     approximate: bool = False
@@ -385,8 +386,12 @@ def _probe_integral(V, exponent, lo, hi, refine_lo=True):
     return abs(a2 - a1) < 0.05 * max(abs(a1), 1e-12)
 
 
-def check_conditions(V, beta, delta):
-    """Check the structural conditions for coupling β with margin δ > 0."""
+def check_conditions(V, beta, delta, n=0.0):
+    """Check the structural conditions for coupling β with margin δ > 0.
+
+    The origin and infinity integrals are taken over the problem weight
+    rⁿV, so the weight exponent n shifts every power-law threshold by n.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     alpha_v = alpha_of_v(V)
@@ -395,31 +400,34 @@ def check_conditions(V, beta, delta):
 
     min_ok = beta >= -alpha_v
 
-    # origin: 2π ∫_0^1 V(r) r^{1−β−δ} dr < ∞
+    # origin: 2π ∫_0^1 rⁿV(r) r^{1−β−δ} dr < ∞
     if isinstance(V, Constant):
-        origin_ok = beta + delta < 2.0
+        origin_ok = beta + delta < n + 2.0
     elif isinstance(V, PowerGauss):
-        origin_ok = beta + delta < V.n_pow + 2.0
+        origin_ok = beta + delta < n + V.n_pow + 2.0
     elif isinstance(V, Sphere):
-        origin_ok = beta + delta < 2.0
+        origin_ok = beta + delta < n + 2.0
     elif isinstance(V, LogSingular):
-        # V ~ r^{-2}(−log r)^{-3/2}: integrable against r^{1−β−δ} iff β+δ ≤ 0
-        origin_ok = beta + delta <= 0.0
+        # rⁿV ~ r^{n−2}(−log r)^{-3/2}: integrable against r^{1−β−δ} iff
+        # β+δ ≤ n
+        origin_ok = beta + delta <= n
     else:
-        origin_ok = _probe_integral(V, -beta - delta, 1e-4, 1.0, refine_lo=True)
+        origin_ok = _probe_integral(V, n - beta - delta, 1e-4, 1.0,
+                                    refine_lo=True)
         notes.append("origin integral probed numerically")
 
-    # infinity: 2π ∫_1^∞ V(r) r^{1−β+δ} dr < ∞
+    # infinity: 2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞
     if isinstance(V, Constant):
-        infinity_ok = beta > 2.0 + delta
+        infinity_ok = beta > n + 2.0 + delta
     elif isinstance(V, PowerGauss):
-        infinity_ok = True if V.gamma > 0 else beta > V.n_pow + 2.0 + delta
+        infinity_ok = (True if V.gamma > 0
+                       else beta > n + V.n_pow + 2.0 + delta)
     elif isinstance(V, Sphere):
-        infinity_ok = beta > 2.0 * V.l + 2.0 + delta
+        infinity_ok = beta > 2.0 * V.l + n + 2.0 + delta
     elif isinstance(V, LogSingular):
         infinity_ok = True  # compact support
     else:
-        infinity_ok = _probe_integral(V, -beta + delta, 1.0, V.radii[-1],
+        infinity_ok = _probe_integral(V, n - beta + delta, 1.0, V.radii[-1],
                                       refine_lo=False)
         notes.append("infinity integral probed numerically")
 

@@ -43,12 +43,14 @@ from .solution import NormalizedSolution
 __all__ = [
     "Controls", "ShootResult", "MassMapEntry", "ShootingError",
     "NonexistenceError", "integrate_ivp", "mass_map", "solve_for_beta",
-    "pokhozhaev_P",
 ]
 
 _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
 _PSI_CAP = 700.0          # e^ψ overflow guard
 _PLATEAU_TOL = 1e-10      # |Δ(rψ′)| over a decade ⇒ mass converged
+_R_MAX_INIT = 64.0        # first truncation radius of an auto-r_max solve
+_R_MAX_CAP = 1e6          # auto-r_max doubles up to this, then gives up
+_MAX_ROOT_ITER = 80       # secant/bisection steps after the bracket search
 
 
 class ShootingError(RuntimeError):
@@ -70,16 +72,14 @@ class NonexistenceError(ShootingError):
 
 @dataclass
 class Controls:
-    """Integrator and root-finder knobs (defaults match the test suite)."""
+    """Integrator and root-finder settings that callers set (tolerances,
+    a fixed truncation radius, the output grid size)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     r_max: float = None          # fixed truncation radius; None = auto
-    r_max_init: float = 64.0
-    r_max_cap: float = 1e6
     tail_rel_tol: float = 1e-8   # stop when tail_mass/total < this
     root_tol: float = 1e-8       # |β(s*) − β_target|
-    max_root_iter: int = 80
     n_sample: int = 8192         # output grid size
 
 
@@ -107,7 +107,7 @@ class ShootResult:
 
     @cached_property
     def grid(self):
-        return make_grid(self.r_max, self.n_sample, grading="log")
+        return make_grid(self.r_max, self.n_sample)
 
     @cached_property
     def _columns(self):
@@ -269,14 +269,14 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
                       "r-power are nonzero; the effective weight is "
                       "r^(n+n_pow)·(smooth factor) — do not double-count",
                       stacklevel=2)
-    n_eff = n + float(getattr(V, "n_pow", 0.0))
+    n_eff = n + float(V.n_pow)
     if n_eff + 2.0 <= 0.0:
         raise ValueError("effective weight exponent must exceed −2")
     if s > _PSI_CAP:
         raise ShootingError("center value too large: e^ψ overflows at r = 0")
 
     vs = _smooth_scalar_fn(V)
-    v0 = vs(0.0) if getattr(V, "n_pow", 0.0) == 0 else vs(1e-30)
+    v0 = vs(0.0) if V.n_pow == 0 else vs(1e-30)
     a = v0 * math.exp(s) / (n_eff + 2.0) ** 2
     if a > 0.0:
         r0 = min((_SERIES_TARGET / a) ** (1.0 / (n_eff + 2.0)), 0.1)
@@ -297,7 +297,7 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     blow_up.direction = 1.0
 
     auto = c.r_max is None
-    r_target = c.r_max_init if auto else float(c.r_max)
+    r_target = _R_MAX_INIT if auto else float(c.r_max)
     if r_target <= r0 * 2.0:
         r_target = r0 * 4.0
     sampler = _Sampler((s, sigma, a, n_eff), x0)
@@ -345,9 +345,9 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
         if converged or not auto:
             break
         r_target *= 2.0
-        if r_target > c.r_max_cap:
+        if r_target > _R_MAX_CAP:
             raise MassDivergence(
-                f"mass did not converge at r_max = {c.r_max_cap:g} "
+                f"mass did not converge at r_max = {_R_MAX_CAP:g} "
                 f"(tail fraction {tail_m / max(total, 1e-300):.3g})")
 
     psi_end, u_end, phi_end, w_end = y
@@ -517,7 +517,7 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
         # Illinois-damped regula falsi; plain bisection while an endpoint is
         # divergent or the sampled map looks non-monotone
         side = 0
-        for _ in range(c.max_root_iter):
+        for _ in range(_MAX_ROOT_ITER):
             denom = g_hi - g_lo
             secant_ok = (math.isfinite(g_lo) and math.isfinite(g_hi)
                          and denom != 0.0
@@ -549,7 +549,7 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
                     flags.append("multiple_roots_possible")
         if best is None:
             raise ShootingError(
-                f"beta root did not converge in {c.max_root_iter} iterations "
+                f"beta root did not converge in {_MAX_ROOT_ITER} iterations "
                 f"(bracket [{s_lo:g}, {s_hi:g}])")
     if _non_monotone(history) and "multiple_roots_possible" not in flags:
         flags.append("multiple_roots_possible")
@@ -575,53 +575,3 @@ def _non_monotone(history, jitter=1e-9):
     down = any(b2 < b1 - jitter for b1, b2 in zip(betas, betas[1:]))
     return up and down
 
-
-def pokhozhaev_P(result, V):
-    """Pokhozhaev function P = rψ′(½rψ′ + β) + r^{n+2}V e^ψ along a profile.
-
-    ψ here is the *raw* trajectory: for a NormalizedSolution the shift
-    log(4π|β|) is added back.  For β > 0 the profile form is cross-checked
-    against the integral form ∫₀^r (tV′ + (n+2−β)V) tⁿ⁺¹e^ψ dt (they agree up
-    to quadrature error; the identity behind the check needs the σ=+1 sign).
-    Returns a dict with the P samples and diagnostics.
-    """
-    if isinstance(result, NormalizedSolution):
-        beta = result.beta
-        n = result.n
-        r = result.grid.nodes
-        psi_raw = result.psi + math.log(4.0 * math.pi * abs(beta))
-        u = result.dpsi
-    else:
-        beta = result.beta_s
-        n = result.n
-        r = result.grid.nodes
-        psi_raw = result.psi
-        u = result.dpsi
-
-    v, dv = V.value_and_derivative(r)
-    e_psi = np.exp(psi_raw)
-    P = u * (0.5 * u + beta) + r ** (n + 2.0) * v * e_psi
-
-    out = {
-        "r": r, "P": P,
-        "min_P": float(np.min(P)),
-        "P_at_r_max": float(P[-1]),
-    }
-    if beta > 0.0:
-        integrand = (r * dv + (n + 2.0 - beta) * v) * r ** (n + 1.0) * e_psi
-        d = np.diff(r)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * d)])
-        # origin cell: integrand ~ C r^{n+1}
-        cum += integrand[0] * r[0] / (n + 2.0)
-        cutoff = getattr(V, "cutoff_radius", None)
-        if cutoff is not None and r[0] < cutoff <= r[-1]:
-            # V drops by V(α⁻) at the cutoff: P jumps down accordingly
-            p_at = np.interp(math.log(cutoff), np.log(r), psi_raw)
-            jump = -cutoff ** (n + 2.0) * float(V.value(cutoff)) * math.exp(p_at)
-            cum = np.where(r >= cutoff, cum + jump, cum)
-        diff = P - cum
-        scale = 1.0 + np.max(np.abs(P))
-        out["integral_form"] = cum
-        out["max_crosscheck_diff"] = float(np.max(np.abs(diff)) / scale)
-    return out

@@ -17,7 +17,6 @@ summary) and ``name.csv`` carrying the profile with the exact column header
 plotting tools and spreadsheets.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -109,13 +108,12 @@ class NormalizedSolution:
         with open(jpath, "w") as fh:
             json.dump(header, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        # repr round-trips every double; \r\n is csv.writer's row ending
+        rows = np.column_stack((self.r, self.psi, self.dpsi, self.mass))
+        body = "".join(f"{r!r},{p!r},{d!r},{m!r}\r\n"
+                       for r, p, d, m in rows.tolist())
         with open(cpath, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for i in range(self.grid.n_nodes):
-                writer.writerow([repr(float(v)) for v in
-                                 (self.r[i], self.psi[i], self.dpsi[i],
-                                  self.mass[i])])
+            fh.write(",".join(CSV_HEADER) + "\r\n" + body)
         return jpath
 
     @classmethod
@@ -126,19 +124,15 @@ class NormalizedSolution:
         with open(jpath) as fh:
             header = json.load(fh)
         cpath = jpath.parent / header.get("csv", jpath.with_suffix(".csv").name)
-        rows = []
-        with open(cpath, newline="") as fh:
-            reader = csv.reader(fh)
-            got = next(reader, None)
-            if got is None or [h.strip() for h in got] != CSV_HEADER:
+        with open(cpath) as fh:
+            got = fh.readline().rstrip("\n").split(",")
+            if [h.strip() for h in got] != CSV_HEADER:
                 raise ValueError(f"{cpath}: expected CSV header "
                                  f"'{','.join(CSV_HEADER)}'")
-            for row in reader:
-                if row:
-                    rows.append([float(v) for v in row[:4]])
-        if not rows:
+            lines = fh.read().splitlines()
+        if not any(lines):
             raise ValueError(f"{cpath}: no rows")
-        data = np.asarray(rows, dtype=float)
+        data = np.loadtxt(lines, delimiter=",", usecols=range(4), ndmin=2)
         nodes = data[:, 0]
         weights = _trapezoid_weights(nodes)
         grid = Grid(nodes=nodes, weights=weights, r_max=float(nodes[-1]),

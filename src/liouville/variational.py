@@ -16,13 +16,15 @@ weight W₁ = rⁿV e^{−ψ₀} the energy over radial profiles φ on D(0,R) wi
 whose Euler–Lagrange equation is −Δφ = 4πβ W₁ e^φ / S + f, S = ∫W₁e^φ.
 The minimizer assembles into ψ = φ − log S − ψ₀.
 
-Discretization: piecewise-linear radial finite elements on a log-graded
-grid, mass lumping for the exponential integral, and load coefficients
-rescaled so that Σν = −4πβ holds exactly — this keeps 𝓔[φ+c] = 𝓔[φ] true
-to round-off and makes the discrete gradient exactly the residual of the
-discrete Euler–Lagrange system.  Minimization runs limited-memory
-quasi-Newton with line search, then a Newton polish that exploits the
-tridiagonal-plus-rank-one Hessian structure (Sherman–Morrison).
+Discretization: piecewise-linear radial finite elements on a grid of 4096
+nodes spaced uniformly in log r, mass lumping for the exponential integral,
+and load coefficients rescaled so that Σν = −4πβ holds exactly — this keeps
+𝓔[φ+c] = 𝓔[φ] true to round-off and makes the discrete gradient exactly the
+residual of the discrete Euler–Lagrange system.  Minimization runs
+limited-memory quasi-Newton with line search, then a Newton polish that
+exploits the tridiagonal-plus-rank-one Hessian structure (Sherman–Morrison).
+One discretization is built per disk: the minimizer's result carries it, and
+the assembled solution reuses it together with the minimizer's log-mass.
 
 The slope and mass columns of the assembled solution come from integrating
 the Euler–Lagrange equation: r ψ′(r) = −2β m(r)/S with
@@ -46,9 +48,16 @@ from .potentials import check_conditions
 from .solution import NormalizedSolution
 
 __all__ = [
-    "Gauge", "MinimizeResult", "VariationalControls", "EnergyUnboundedError",
+    "Gauge", "MinimizeResult", "EnergyUnboundedError",
     "build_gauge", "energy", "minimize", "to_solution", "variational_solve",
 ]
+
+
+_N_NODES = 4096            # grid nodes per disk
+_MAX_ITER = 500            # L-BFGS-B iteration cap
+_GRAD_TOL = 1e-8           # sup-norm of the gradient at convergence
+_ENERGY_DROP_CAP = 1e6     # a drop this far below 𝓔[φ₀] means 𝓔 is unbounded
+_POLISH_ITER = 120         # Newton polish steps
 
 
 class EnergyUnboundedError(RuntimeError):
@@ -76,19 +85,10 @@ class MinimizeResult:
     dirichlet: float          # ∫ |∇φ|²
     converged: bool
     iterations: int
+    _disc: object = field(repr=False)  # the _Discretization minimized over
     flags: list = field(default_factory=list)
     certificate: dict = field(default_factory=dict)
     n: float = 0.0
-
-
-@dataclass
-class VariationalControls:
-    max_iter: int = 500
-    grad_tol: float = 1e-8
-    n_nodes: int = 4096
-    energy_drop_cap: float = 1e6
-    newton_polish: bool = True
-    polish_iter: int = 120
 
 
 def build_gauge(beta, grid):
@@ -134,7 +134,7 @@ class _Discretization:
         # ½∫|∇φ|² = Σ c_i (φ_{i+1} − φ_i)²,   c_i = π(r_i + r_{i+1})/(2 h_i)
         self.c = math.pi * (r[:-1] + r[1:]) / (2.0 * h)
 
-        n_pow = float(getattr(V, "n_pow", 0.0))
+        n_pow = float(V.n_pow)
         w1 = (r ** (self.n + n_pow) * V.smooth_value(r)
               * np.exp(-gauge.psi0))
         mu = 2.0 * math.pi * grid.weights * w1 * r
@@ -200,7 +200,7 @@ def energy(gauge, V, phi, n=0.0):
     return value, grad
 
 
-def _certificate(disc, gauge, V, n):
+def _certificate(disc, gauge, V, delta):
     """A-priori coercivity terms: 𝓔[φ] ≥ (ε/2)·∫|∇φ|² + constant.
 
     Chain: split ∫fφ through φ(1) using Σν = −4πβ; bound both |φ(r) − φ(1)|
@@ -211,9 +211,6 @@ def _certificate(disc, gauge, V, n):
     ε = δ/(2(β+δ)) ≤ ½.
     """
     beta = gauge.beta
-    n_pow = float(getattr(V, "n_pow", 0.0))
-    gap = (n + n_pow + 2.0) - beta
-    delta = min(1.0, gap / 2.0) if gap > 0 else None
     cert = {"delta": delta, "epsilon": None, "certificate_constant": None,
             "log_integral_origin": None, "log_integral_infinity": None}
     if delta is None:
@@ -252,9 +249,8 @@ def _certificate(disc, gauge, V, n):
     return cert
 
 
-def minimize(gauge, V, R=None, init=None, controls=None, n=0.0):
+def minimize(gauge, V, R=None, init=None, n=0.0):
     """Minimize the gauged energy over radial profiles with φ(R) = 0."""
-    c = controls or VariationalControls()
     grid = gauge.grid
     if R is not None and not math.isclose(R, grid.r_max, rel_tol=1e-12):
         raise ValueError("R must match the gauge grid's r_max")
@@ -263,12 +259,12 @@ def minimize(gauge, V, R=None, init=None, controls=None, n=0.0):
         raise ValueError("outside admissible class: weighted mass is not positive")
 
     flags = []
-    delta_gap = (n + float(getattr(V, "n_pow", 0.0)) + 2.0) - gauge.beta
-    delta = min(1.0, delta_gap / 2.0) if delta_gap > 0 else None
+    gap = (n + float(V.n_pow) + 2.0) - gauge.beta
+    delta = min(1.0, gap / 2.0) if gap > 0 else None
     if delta is None:
         flags.append("existence_hypotheses_violated")
     else:
-        rep = check_conditions(V, gauge.beta, delta)
+        rep = check_conditions(V, gauge.beta, delta, n)
         if not rep.all_pass:
             if rep.approximate:
                 warnings.warn("existence conditions probed numerically and "
@@ -283,7 +279,7 @@ def minimize(gauge, V, R=None, init=None, controls=None, n=0.0):
 
     e0 = disc.energy_grad(phi)[0]
     trace = [e0]
-    cap_floor = e0 - c.energy_drop_cap
+    cap_floor = e0 - _ENERGY_DROP_CAP
 
     def objective(x):
         full = np.concatenate([x, [0.0]])
@@ -299,60 +295,59 @@ def minimize(gauge, V, R=None, init=None, controls=None, n=0.0):
 
     res = scipy_minimize(objective, phi[:-1], jac=True, method="L-BFGS-B",
                          callback=on_step,
-                         options={"maxiter": c.max_iter, "ftol": 1e-16,
-                                  "gtol": c.grad_tol, "maxcor": 20})
+                         options={"maxiter": _MAX_ITER, "ftol": 1e-16,
+                                  "gtol": _GRAD_TOL, "maxcor": 20})
     phi = np.concatenate([res.x, [0.0]])
     value, grad, log_s, dirichlet = disc.energy_grad(phi)
     grad_norm = float(np.max(np.abs(grad[:-1])))
     iterations = int(res.nit)
 
-    if c.newton_polish:
-        # Levenberg-damped Newton on H = T + ρ m mᵀ (tridiagonal + rank-one);
-        # Sherman–Morrison keeps every solve banded, λ adapts: shrink on an
-        # accepted step, grow when the shifted system is not a safe descent
-        # system (T indefiniteness shows up as a non-positive denominator).
-        rho = 4.0 * math.pi * gauge.beta
-        lam = 1e-3
-        for _ in range(c.polish_iter):
-            if grad_norm < 1e-11:
-                break
-            band, m = disc.hessian_banded(phi, log_s)
-            accepted = False
-            for _ in range(25):
-                band_l = band.copy()
-                band_l[1] += lam
-                try:
-                    sol2 = solve_banded((1, 1), band_l,
-                                        np.column_stack([-grad[:-1], m]))
-                except (np.linalg.LinAlgError, ValueError):
-                    lam *= 4.0
-                    continue
-                t_g, t_m = sol2[:, 0], sol2[:, 1]
-                denom = 1.0 + rho * float(np.dot(m, t_m))
-                if denom == 0.0 or not np.all(np.isfinite(sol2)):
-                    lam *= 4.0
-                    continue
-                red = t_g - rho * t_m * float(np.dot(m, t_g)) / denom
-                if float(np.dot(grad[:-1], red)) >= 0.0:
-                    lam *= 4.0
-                    continue
-                trial = phi + np.concatenate([red, [0.0]])
-                tv, tg, tls, tdir = disc.energy_grad(trial)
-                tgn = float(np.max(np.abs(tg[:-1])))
-                if tv < value or (tv == value and tgn < grad_norm):
-                    if tv < value:
-                        trace.append(tv)
-                    phi, value, grad = trial, tv, tg
-                    log_s, dirichlet, grad_norm = tls, tdir, tgn
-                    iterations += 1
-                    lam = max(lam / 3.0, 1e-14)
-                    accepted = True
-                    break
+    # Levenberg-damped Newton on H = T + ρ m mᵀ (tridiagonal + rank-one);
+    # Sherman–Morrison keeps every solve banded, λ adapts: shrink on an
+    # accepted step, grow when the shifted system is not a safe descent
+    # system (T indefiniteness shows up as a non-positive denominator).
+    rho = 4.0 * math.pi * gauge.beta
+    lam = 1e-3
+    for _ in range(_POLISH_ITER):
+        if grad_norm < 1e-11:
+            break
+        band, m = disc.hessian_banded(phi, log_s)
+        accepted = False
+        for _ in range(25):
+            band_l = band.copy()
+            band_l[1] += lam
+            try:
+                sol2 = solve_banded((1, 1), band_l,
+                                    np.column_stack([-grad[:-1], m]))
+            except (np.linalg.LinAlgError, ValueError):
                 lam *= 4.0
-            if not accepted:
+                continue
+            t_g, t_m = sol2[:, 0], sol2[:, 1]
+            denom = 1.0 + rho * float(np.dot(m, t_m))
+            if denom == 0.0 or not np.all(np.isfinite(sol2)):
+                lam *= 4.0
+                continue
+            red = t_g - rho * t_m * float(np.dot(m, t_g)) / denom
+            if float(np.dot(grad[:-1], red)) >= 0.0:
+                lam *= 4.0
+                continue
+            trial = phi + np.concatenate([red, [0.0]])
+            tv, tg, tls, tdir = disc.energy_grad(trial)
+            tgn = float(np.max(np.abs(tg[:-1])))
+            if tv < value or (tv == value and tgn < grad_norm):
+                if tv < value:
+                    trace.append(tv)
+                phi, value, grad = trial, tv, tg
+                log_s, dirichlet, grad_norm = tls, tdir, tgn
+                iterations += 1
+                lam = max(lam / 3.0, 1e-14)
+                accepted = True
                 break
+            lam *= 4.0
+        if not accepted:
+            break
 
-    converged = grad_norm < max(c.grad_tol, 1e-8)
+    converged = grad_norm < _GRAD_TOL
     if not converged:
         flags.append("not_converged")
 
@@ -360,25 +355,27 @@ def minimize(gauge, V, R=None, init=None, controls=None, n=0.0):
         phi=phi, energy=float(value), energy_trace=trace,
         grad_norm=grad_norm, log_mass=float(log_s),
         dirichlet=float(dirichlet), converged=bool(converged),
-        iterations=iterations, flags=flags,
-        certificate=_certificate(disc, gauge, V, n), n=float(n))
+        iterations=iterations, _disc=disc, flags=flags,
+        certificate=_certificate(disc, gauge, V, delta), n=float(n))
 
 
 def to_solution(m, gauge, V):
-    """Assemble ψ = φ − log S − ψ₀ with exact discrete mass/slope columns."""
+    """Assemble ψ = φ − log S − ψ₀ with exact discrete mass/slope columns.
+
+    Reuses the discretization and log S of the minimize result ``m``; pass
+    the gauge and weight it was minimized with.
+    """
     grid = gauge.grid
-    disc = _Discretization(gauge, V, m.n)
-    value, grad, log_s, _ = disc.energy_grad(m.phi)
-    psi = m.phi - log_s - gauge.psi0
+    disc = m._disc
+    psi = m.phi - m.log_mass - gauge.psi0
     # EL integration: r ψ′ = −2β m_V(r)/S.  The node-sampled cumulative is a
     # trapezoid sum (a plain cumsum of lumped cells lands on cell midpoints,
     # a visible O(h) offset); the origin cell below the first node uses the
     # same power-law model as the lumped masses.
     dens = 2.0 * math.pi * disc.w1 * np.exp(m.phi) * grid.nodes
     m_v = cumulative_trapezoid(dens, grid.nodes, initial=0.0)
-    n_pow = float(getattr(V, "n_pow", 0.0))
     m_v += disc.w1[0] * np.exp(m.phi[0]) * 2.0 * math.pi \
-        * grid.nodes[0] ** 2 / (m.n + n_pow + 2.0)
+        * grid.nodes[0] ** 2 / (m.n + float(V.n_pow) + 2.0)
     mass = m_v / m_v[-1]
     dpsi = -2.0 * gauge.beta * mass
     return NormalizedSolution(
@@ -392,20 +389,19 @@ def to_solution(m, gauge, V):
               "iterations": m.iterations})
 
 
-def variational_solve(V, n, beta, R=None, controls=None):
+def variational_solve(V, n, beta, R=None):
     """Convenience driver: build gauge + minimize (+ optional auto-R).
 
     With R=None the disk doubles from 12 until ψ(0) moves by < 1e−4
     (at most three doublings).
     """
-    c = controls or VariationalControls()
     auto = R is None
     radius = 12.0 if auto else float(R)
     last_center = None
     for _ in range(4):
-        grid = make_grid(radius, c.n_nodes, grading="log")
+        grid = make_grid(radius, _N_NODES)
         gauge = build_gauge(beta, grid)
-        result = minimize(gauge, V, init=None, controls=c, n=n)
+        result = minimize(gauge, V, n=n)
         sol = to_solution(result, gauge, V)
         center = float(sol.psi[0])
         if not auto or (last_center is not None

@@ -23,6 +23,9 @@ which holds for either sign of β and gives the partial integral
 J(r) = Q(r)/(2β) − (n+2−β) M(r) used for the origin cell below the first
 node.  Compactly supported weights (cutoff at r = α) contribute the jump
 −2π α^{n+2} V(α⁻) e^{ψ̃(α)} to the index integral.
+
+The Pokhozhaev function P = u(u/2+β) + r^{n+2}V e^ψ of the raw profile
+(``pokhozhaev_P``) is computed here as well; the module imports no solver.
 """
 
 import json
@@ -33,10 +36,10 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .potentials import Tabulated
-from .shooting import pokhozhaev_P
 from .solution import NormalizedSolution
 
-__all__ = ["IdentityReport", "check_identities", "compare_solutions"]
+__all__ = ["IdentityReport", "check_identities", "compare_solutions",
+           "pokhozhaev_P"]
 
 _MIN_NODES = 64
 
@@ -203,6 +206,50 @@ def check_identities(sol, V=None):
         log_lip_constant=float(log_lip_constant),
         pokhozhaev_approximate=isinstance(V, Tabulated),
         beta=float(beta), n=float(sol.n), n_nodes=sol.grid.n_nodes)
+
+
+def pokhozhaev_P(sol, V):
+    """Pokhozhaev function P = rψ′(½rψ′ + β) + r^{n+2}V e^ψ along a profile.
+
+    ψ here is the *raw* profile ψ = ψ̃ + log(4π|β|) of the normalized
+    solution ``sol``.  For β > 0 the profile form is cross-checked against
+    the integral form ∫₀^r (tV′ + (n+2−β)V) tⁿ⁺¹e^ψ dt (they agree up to
+    quadrature error; the identity behind the check needs the σ=+1 sign).
+    Returns a dict with the P samples and diagnostics.
+    """
+    beta = sol.beta
+    n = sol.n
+    r = sol.grid.nodes
+    psi_raw = sol.psi + math.log(4.0 * math.pi * abs(beta))
+    u = sol.dpsi
+
+    v, dv = V.value_and_derivative(r)
+    e_psi = np.exp(psi_raw)
+    P = u * (0.5 * u + beta) + r ** (n + 2.0) * v * e_psi
+
+    out = {
+        "r": r, "P": P,
+        "min_P": float(np.min(P)),
+        "P_at_r_max": float(P[-1]),
+    }
+    if beta > 0.0:
+        integrand = (r * dv + (n + 2.0 - beta) * v) * r ** (n + 1.0) * e_psi
+        d = np.diff(r)
+        cum = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * d)])
+        # origin cell: integrand ~ C r^{n+1}
+        cum += integrand[0] * r[0] / (n + 2.0)
+        cutoff = getattr(V, "cutoff_radius", None)
+        if cutoff is not None and r[0] < cutoff <= r[-1]:
+            # V drops by V(α⁻) at the cutoff: P jumps down accordingly
+            p_at = np.interp(math.log(cutoff), np.log(r), psi_raw)
+            jump = -cutoff ** (n + 2.0) * float(V.value(cutoff)) * math.exp(p_at)
+            cum = np.where(r >= cutoff, cum + jump, cum)
+        diff = P - cum
+        scale = 1.0 + np.max(np.abs(P))
+        out["integral_form"] = cum
+        out["max_crosscheck_diff"] = float(np.max(np.abs(diff)) / scale)
+    return out
 
 
 def compare_solutions(a, b, mode):

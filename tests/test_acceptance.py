@@ -16,10 +16,9 @@ from liouville.cli import main as cli_main
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble, sharp_regularity_example
 from liouville.potentials import Constant, PowerGauss
-from liouville.shooting import (Controls, integrate_ivp, mass_map,
-                                pokhozhaev_P, solve_for_beta)
+from liouville.shooting import Controls, integrate_ivp, mass_map, solve_for_beta
 from liouville.variational import build_gauge, energy, variational_solve
-from liouville.verify import check_identities, compare_solutions
+from liouville.verify import check_identities, compare_solutions, pokhozhaev_P
 
 GAUSS = PowerGauss(n_pow=0.0, gamma=1.0, alpha_exp=2.0)
 
@@ -159,7 +158,7 @@ def test_criterion_07_negative_beta_monotonicity(negative_pair):
 
 def test_criterion_08_sharp_regularity_oracle():
     _, sol = sharp_regularity_example(math.exp(-1.0),
-                                      make_grid(2.0, 8192, grading="log"))
+                                      make_grid(2.0, 8192))
     residual = check_identities(sol).mass_residual
     _record(8, "sharp-regularity oracle mass", residual < 1e-6,
             f"mass residual={residual:.3g}")

@@ -179,6 +179,36 @@ def test_conditions_tabulated_flagged_approximate():
     assert rep.origin_integral_ok
 
 
+def test_conditions_use_the_problem_weight_r_to_the_n():
+    # regression: the origin test read β + δ < n_pow + 2 whatever n was, so
+    # (Gaussian, n = 1, β = 2.5, δ = 0.25) failed although β + δ < n + 2
+    gauss = PowerGauss(0.0, 1.0, 2.0)
+    assert not check_conditions(gauss, beta=2.5, delta=0.25).origin_integral_ok
+    rep = check_conditions(gauss, beta=2.5, delta=0.25, n=1.0)
+    assert rep.origin_integral_ok and rep.all_pass
+    # every power-law threshold moves by n
+    const = Constant(1.0)
+    assert check_conditions(const, 4.0, 0.1).infinity_integral_ok
+    assert not check_conditions(const, 4.0, 0.1, n=2.0).infinity_integral_ok
+    assert not check_conditions(const, 3.5, 0.1).origin_integral_ok
+    assert check_conditions(const, 3.5, 0.1, n=2.0).origin_integral_ok
+    sphere = Sphere(l=-2.0, gamma=0.5)
+    assert check_conditions(sphere, -1.5, 0.2).infinity_integral_ok
+    assert not check_conditions(sphere, -1.5, 0.2, n=1.0).infinity_integral_ok
+    assert check_conditions(sphere, 2.5, 0.2, n=1.0).origin_integral_ok
+    log_sing = LogSingular(alpha_cut=math.exp(-1.0))
+    assert check_conditions(log_sing, 0.5, 0.1, n=1.0).origin_integral_ok
+
+
+def test_conditions_tabulated_probe_uses_r_to_the_n():
+    # V clamps to 1 below the table: ∫₀¹ rⁿ r^{1−β−δ} dr diverges for
+    # β + δ = 2.5 at n = 0 and converges at n = 1
+    r = np.geomspace(1e-4, 50.0, 300)
+    V = Tabulated(r, np.exp(-r))
+    assert not check_conditions(V, beta=2.3, delta=0.2).origin_integral_ok
+    assert check_conditions(V, beta=2.3, delta=0.2, n=1.0).origin_integral_ok
+
+
 def test_delta_must_be_positive():
     with pytest.raises(ValueError):
         check_conditions(Constant(1.0), beta=1.0, delta=0.0)

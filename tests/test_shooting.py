@@ -18,8 +18,9 @@ from liouville import shooting
 from liouville.oracles import conformal_bubble
 from liouville.potentials import Constant, LogSingular, PowerGauss
 from liouville.shooting import (Controls, MassDivergence, NonexistenceError,
-                                integrate_ivp, mass_map, pokhozhaev_P,
-                                solve_for_beta)
+                                integrate_ivp, mass_map, solve_for_beta)
+from liouville.solution import NormalizedSolution
+from liouville.verify import pokhozhaev_P
 
 GAUSS = PowerGauss(n_pow=0.0, gamma=1.0, alpha_exp=2.0)
 
@@ -283,7 +284,7 @@ def bubble_lambda(sol):
 
 def test_pokhozhaev_zero_on_bubble():
     res = integrate_ivp(Constant(1.0), 2.0, 0.5)
-    out = pokhozhaev_P(res, Constant(1.0))
+    out = pokhozhaev_P(res.to_normalized(), Constant(1.0))
     assert abs(out["min_P"]) < 1e-6
     assert float(np.max(np.abs(out["P"]))) < 1e-6
 
@@ -299,6 +300,11 @@ def test_pokhozhaev_gaussian_positive_with_vanishing_limit():
 
 def test_pokhozhaev_zero_weight_trivial():
     res = integrate_ivp(Constant(0.0), 0.0, 0.0)
-    out = pokhozhaev_P(res, Constant(0.0))
     assert res.beta_s == 0.0
+    # zero coupling has no normalized form; carry the flat trajectory's
+    # columns (rψ′ ≡ 0) under a nominal β, for which P must vanish exactly
+    flat = NormalizedSolution(beta=1.0, n=0.0, psi=res.psi, dpsi=res.dpsi,
+                              mass=np.zeros(res.grid.n_nodes), grid=res.grid)
+    assert np.all(flat.dpsi == 0.0)
+    out = pokhozhaev_P(flat, Constant(0.0))
     assert float(np.max(np.abs(out["P"]))) == 0.0

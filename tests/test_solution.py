@@ -1,0 +1,46 @@
+"""NormalizedSolution disk format: exact bytes and exact round trip."""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+
+from liouville.grids import make_grid
+from liouville.oracles import conformal_bubble
+from liouville.solution import CSV_HEADER, NormalizedSolution
+
+
+def _csv_writer_bytes(sol):
+    """The profile CSV as csv.writer writes it, one repr per value."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for row in zip(sol.r, sol.psi, sol.dpsi, sol.mass):
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+def test_csv_bytes_match_csv_writer_and_round_trip_exactly(tmp_path):
+    sol = conformal_bubble(1.0, 2.0, make_grid(20.0, 512))
+    # values whose repr and parse are easy to get wrong
+    sol.mass[:6] = [0.0, -0.0, 5e-324, 1.2345678901234567e300, 0.1, 1 / 3]
+    jpath = sol.save(tmp_path / "bubble.json")
+    assert (tmp_path / "bubble.csv").read_bytes() == _csv_writer_bytes(sol)
+    back = NormalizedSolution.load(jpath)
+    for name in ("psi", "dpsi", "mass"):
+        assert np.array_equal(getattr(back, name), getattr(sol, name))
+    assert np.array_equal(back.r, sol.r)
+    assert np.signbit(back.mass[1])
+
+
+def test_load_rejects_bad_header_and_empty_profile(tmp_path):
+    sol = conformal_bubble(1.0, 2.0, make_grid(20.0, 64))
+    jpath = sol.save(tmp_path / "bubble.json")
+    cpath = tmp_path / "bubble.csv"
+    cpath.write_text("r,psi,dpsi,mass\n1,2,3,4\n")
+    with pytest.raises(ValueError, match="expected CSV header"):
+        NormalizedSolution.load(jpath)
+    cpath.write_text("r,psi,r_dpsi,mass\r\n\r\n")
+    with pytest.raises(ValueError, match="no rows"):
+        NormalizedSolution.load(jpath)

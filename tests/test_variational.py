@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from liouville import variational
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble
 from liouville.potentials import Constant, PowerGauss, Tabulated
 from liouville.shooting import solve_for_beta
 from liouville.variational import (
-    EnergyUnboundedError, VariationalControls, build_gauge, energy, minimize,
-    to_solution, variational_solve,
+    EnergyUnboundedError, build_gauge, energy, minimize, to_solution,
+    variational_solve,
 )
 from liouville.verify import check_identities, compare_solutions
 
@@ -188,6 +189,30 @@ def test_minimize_init_shape_checked():
     gz = build_gauge(1.0, g)
     with pytest.raises(ValueError, match="match the grid"):
         minimize(gz, GAUSS, init=np.zeros(100))
+
+
+def test_minimize_checks_conditions_for_the_weight_exponent():
+    # regression: β = 2.5 lies inside the n = 1 window β < n + 2 of the
+    # Gaussian weight, yet the n-blind check flagged it
+    gz = build_gauge(2.5, make_grid(12.0, 512))
+    res = minimize(gz, GAUSS, n=1.0)
+    assert "existence_hypotheses_violated" not in res.flags
+
+
+def test_one_discretization_per_disk(monkeypatch):
+    built = []
+
+    class Counting(variational._Discretization):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(variational, "_Discretization", Counting)
+    gz = build_gauge(1.0, make_grid(8.0, 512))
+    res = minimize(gz, GAUSS)
+    sol = to_solution(res, gz, GAUSS)
+    assert len(built) == 1
+    assert sol.meta["log_mass"] == res.log_mass
 
 
 def test_threshold_weight_two_profile_is_a_bubble():

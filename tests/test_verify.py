@@ -88,8 +88,8 @@ def test_report_serialization(gaussian_sol, tmp_path):
 
 
 def test_sup_diff_across_grids():
-    fine = conformal_bubble(1.0, 1.0, make_grid(40.0, 4096, grading="log"))
-    coarse = conformal_bubble(1.0, 1.0, make_grid(25.0, 2048, grading="power"))
+    fine = conformal_bubble(1.0, 1.0, make_grid(40.0, 4096))
+    coarse = conformal_bubble(1.0, 1.0, make_grid(25.0, 2048))
     rep = compare_solutions(fine, coarse, "sup_diff")
     assert rep["sup_diff"] < 1e-6          # closed form + interpolation only
     assert rep["r_hi"] == pytest.approx(25.0)
