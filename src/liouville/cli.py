@@ -33,6 +33,8 @@ from .verify import check_identities
 __all__ = ["cli", "main", "plot_svg", "SCAN_HEADER"]
 
 SCAN_HEADER = ["s", "beta", "beta_prime"]
+# the Controls fields a --config file may set
+_CONTROL_KEYS = ("abs_tol", "rel_tol", "r_max", "tail_rel_tol", "root_tol")
 
 
 class NonexistenceVerdict(click.ClickException):
@@ -60,6 +62,11 @@ def _parse_pair(text, what):
 def _merged_options(config_path, **flags):
     """Config-file defaults overlaid by explicitly given flags."""
     merged = dict(RunConfig.load(config_path).values) if config_path else {}
+    for key in merged:
+        if key not in _CONTROL_KEYS:
+            raise click.UsageError(
+                f"unknown key {key!r} in config file {config_path} "
+                f"(accepted: {', '.join(_CONTROL_KEYS)})")
     for key, value in flags.items():
         if value is not None:
             merged[key] = value
@@ -68,7 +75,7 @@ def _merged_options(config_path, **flags):
 
 def _controls(opts):
     c = Controls()
-    for key in ("abs_tol", "rel_tol", "r_max", "tail_rel_tol", "root_tol"):
+    for key in _CONTROL_KEYS:
         if opts.get(key) is not None:
             setattr(c, key, float(opts[key]))
     return c

@@ -16,6 +16,11 @@ Two structural quantities drive existence theory and are exposed here:
     ∫_{|x|>1} |x|ⁿV⁺ |x|^{−β+δ} and ∫_{|x|>1} V⁻ |x|^{−2β} for a coupling β,
     margin δ > 0 and the problem weight |x|ⁿV (V⁻ ≡ 0 for the whole
     catalog).
+
+Both follow from two exponents that every weight states: V ~ r^n_pow at the
+origin and V ~ r^decay_power at infinity.  A weight that these powers do not
+describe (the log-singular borderline, a sampled table) overrides the
+condition it changes.
 """
 
 import csv
@@ -45,8 +50,13 @@ class Potential:
 
     #: power of r factored out at the origin (V(r) ~ r^n_pow · smooth part)
     n_pow = 0.0
+    #: power of r at infinity (V(r) ~ r^decay_power); −inf for Gaussian decay
+    #: and for compact support
+    decay_power = 0.0
     #: radius where V drops discontinuously to zero, or None
     cutoff_radius = None
+    #: V is sampled, so its conditions are probed numerically (approximate)
+    sampled = False
 
     def value_and_derivative(self, r):
         r = np.asarray(r, dtype=float)
@@ -69,9 +79,23 @@ class Potential:
             return self.value(r)
         return self.value(np.maximum(r, 1e-300)) * _safe_pow(r, -self.n_pow)
 
+    def smooth_scalar(self, r):
+        """Ṽ(r) = V(r)/r^n_pow at one radius r ≥ 0, as a float."""
+        return float(self.smooth_value(r))
+
+    def origin_integrable(self, beta, delta, n):
+        """2π ∫_0^1 rⁿV(r) r^{1−β−δ} dr < ∞, with rⁿV ~ r^{n+n_pow}."""
+        return beta + delta < n + self.n_pow + 2.0
+
+    def infinity_integrable(self, beta, delta, n):
+        """2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞, with rⁿV ~ r^{n+decay_power}."""
+        return beta > n + self.decay_power + 2.0 + delta
+
     def positivity_annulus(self):
-        """(C, R1, R2) with V ≥ C > 0 on R1 < r < R2, or None."""
-        return None
+        """(C, R1, R2) with V ≥ C > 0 on R1 < r < R2, or None; the base
+        samples [0.5, 2]."""
+        c = float(np.min(self.value(np.linspace(0.5, 2.0, 33))))
+        return (c, 0.5, 2.0) if c > 0 else None
 
     def descriptor(self):
         raise NotImplementedError
@@ -94,8 +118,8 @@ class Constant(Potential):
     def smooth_value(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.c)
 
-    def positivity_annulus(self):
-        return (self.c, 0.5, 2.0) if self.c > 0 else None
+    def smooth_scalar(self, r):
+        return self.c
 
     def descriptor(self):
         return f"const:c={self.c!r}"
@@ -129,15 +153,15 @@ class PowerGauss(Potential):
             term = term - g * a * _safe_pow(r, npw + a - 1)
         return v, damp * term
 
+    @property
+    def decay_power(self):
+        return -math.inf if self.gamma > 0 else self.n_pow
+
     def smooth_value(self, r):
         return np.exp(-self.gamma * _safe_pow(np.asarray(r, dtype=float), self.alpha_exp))
 
-    def positivity_annulus(self):
-        lo, hi = 0.5, 2.0
-        c = min(self.value(lo), self.value(hi))  # log V is concave-ish; ends suffice
-        rs = np.linspace(lo, hi, 33)
-        c = min(c, float(np.min(self.value(rs))))
-        return (c, lo, hi)
+    def smooth_scalar(self, r):
+        return math.exp(-self.gamma * r ** self.alpha_exp)
 
     def descriptor(self):
         return f"gauss:npow={self.n_pow!r},gamma={self.gamma!r},alpha={self.alpha_exp!r}"
@@ -160,12 +184,13 @@ class Sphere(Potential):
         dv = v * (2.0 * self.l * r / q - 4.0 * self.gamma * r / (q * q))
         return v, dv
 
-    def smooth_value(self, r):
-        return self.value(np.asarray(r, dtype=float))
+    @property
+    def decay_power(self):
+        return 2.0 * self.l
 
-    def positivity_annulus(self):
-        rs = np.linspace(0.5, 2.0, 33)
-        return (float(np.min(self.value(rs))), 0.5, 2.0)
+    def smooth_scalar(self, r):
+        q = 1.0 + r * r
+        return q ** self.l * math.exp(2.0 * self.gamma / q)
 
     def descriptor(self):
         return f"sphere:l={self.l!r},gamma={self.gamma!r}"
@@ -180,6 +205,7 @@ class LogSingular(Potential):
     """
 
     alpha_cut: float
+    decay_power = -math.inf   # supported inside the unit disk
 
     def __post_init__(self):
         if not (0.0 < self.alpha_cut < 1.0):
@@ -219,6 +245,11 @@ class LogSingular(Potential):
         """Drop of V across r = alpha_cut (V(α⁻) − V(α⁺))."""
         return float(self.value(self.alpha_cut))
 
+    def origin_integrable(self, beta, delta, n):
+        # rⁿV ~ r^{n−2}(−log r)^{−3/2}: integrable against r^{1−β−δ} iff
+        # β+δ ≤ n
+        return beta + delta <= n
+
     def positivity_annulus(self):
         a = self.alpha_cut
         rs = np.linspace(0.25 * a, 0.75 * a, 33)
@@ -234,6 +265,8 @@ class Tabulated(Potential):
     Values clamp to the table ends outside [radii[0], radii[-1]]; tabulate out
     to radii where V is negligible if the tail matters.
     """
+
+    sampled = True
 
     def __init__(self, radii, values, path=None):
         radii = np.asarray(radii, dtype=float)
@@ -260,8 +293,45 @@ class Tabulated(Potential):
                       seg_slope[idx] / np.maximum(r, 1e-300), 0.0)
         return v, dv
 
-    def smooth_value(self, r):
-        return self.value(np.asarray(r, dtype=float))
+    @property
+    def decay_power(self):
+        """Fitted slope of log V over the last decade of the table."""
+        r_hi = self.radii[-1]
+        r_lo = max(self.radii[0], r_hi / 10.0)
+        mask = (self.radii >= r_lo) & (self.values > 0)
+        if np.count_nonzero(mask) < 2:
+            return -math.inf  # tail is identically zero: compact support
+        x = np.log(self.radii[mask])
+        y = np.log(self.values[mask])
+        return np.polyfit(x, y, 1)[0]
+
+    def origin_integrable(self, beta, delta, n):
+        return self._probe_integral(n - beta - delta, 1e-4, 1.0,
+                                    refine_lo=True)
+
+    def infinity_integrable(self, beta, delta, n):
+        return self._probe_integral(n - beta + delta, 1.0, self.radii[-1],
+                                    refine_lo=False)
+
+    def _probe_integral(self, exponent, lo, hi, refine_lo):
+        """Crude finiteness probe: does ∫ V r^{exponent+1} dr stabilise as the
+        domain end approaches the singular limit?"""
+        import warnings
+
+        from scipy.integrate import IntegrationWarning, quad
+
+        def f(r):
+            return self.value(r) * r ** (exponent + 1.0)
+
+        with warnings.catch_warnings():
+            # coarse finiteness probe; quad roundoff chatter is expected
+            warnings.simplefilter("ignore", IntegrationWarning)
+            a1 = quad(f, lo, hi, limit=200)[0]
+            lo2, hi2 = (lo / 100.0, hi) if refine_lo else (lo, hi * 100.0)
+            a2 = quad(f, lo2, hi2, limit=200)[0]
+        if abs(a1) < 1e-12 and abs(a2) < 1e-12:
+            return True
+        return abs(a2 - a1) < 0.05 * max(abs(a1), 1e-12)
 
     def positivity_annulus(self):
         pos = self.values > 0
@@ -303,35 +373,11 @@ def load_tabulated(path):
 def alpha_of_v(V):
     """sup{α : ∫_{|x|>1} |V| |x|^{2α} dx < ∞}; +inf when every α qualifies.
 
-    Closed form for the catalog; a numeric decay probe (last decade of the
-    table, flagged approximate by check_conditions) for Tabulated.
+    V ~ r^p at infinity (p = V.decay_power) makes ∫ r^{p+2α+1} dr finite iff
+    2α < −p − 2.  For a Tabulated weight p is a fit to the last decade of the
+    table, so check_conditions flags the result approximate.
     """
-    if isinstance(V, Constant):
-        return -1.0  # ∫ r^{2α+1} dr finite iff 2α+2 < 0
-    if isinstance(V, PowerGauss):
-        if V.gamma > 0:
-            return math.inf  # exponential decay beats every power
-        return -1.0 - V.n_pow / 2.0
-    if isinstance(V, Sphere):
-        return -V.l - 1.0  # V ~ r^{2l} at infinity
-    if isinstance(V, LogSingular):
-        return math.inf  # compactly supported inside the unit disk
-    if isinstance(V, Tabulated):
-        return _alpha_probe(V)
-    raise TypeError(f"unknown potential {type(V).__name__}")
-
-
-def _alpha_probe(V):
-    """Estimate the decay power p of V from the last decade of the table."""
-    r_hi = V.radii[-1]
-    r_lo = max(V.radii[0], r_hi / 10.0)
-    mask = (V.radii >= r_lo) & (V.values > 0)
-    if np.count_nonzero(mask) < 2:
-        return math.inf  # tail is identically zero: compact support
-    x = np.log(V.radii[mask])
-    y = np.log(V.values[mask])
-    p = np.polyfit(x, y, 1)[0]  # V ~ r^p
-    return -(p + 2.0) / 2.0
+    return -1.0 - V.decay_power / 2.0
 
 
 @dataclass
@@ -365,27 +411,6 @@ class ConditionReport:
         return d
 
 
-def _probe_integral(V, exponent, lo, hi, refine_lo=True):
-    """Crude finiteness probe: does ∫ V r^{exponent+1} dr stabilise as the
-    domain end approaches the singular limit?  Used only for Tabulated."""
-    import warnings
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    def f(r):
-        return V.value(r) * r ** (exponent + 1.0)
-
-    with warnings.catch_warnings():
-        # coarse finiteness probe; quad roundoff chatter is expected
-        warnings.simplefilter("ignore", IntegrationWarning)
-        a1 = quad(f, lo, hi, limit=200)[0]
-        lo2, hi2 = (lo / 100.0, hi) if refine_lo else (lo, hi * 100.0)
-        a2 = quad(f, lo2, hi2, limit=200)[0]
-    if abs(a1) < 1e-12 and abs(a2) < 1e-12:
-        return True
-    return abs(a2 - a1) < 0.05 * max(abs(a1), 1e-12)
-
-
 def check_conditions(V, beta, delta, n=0.0):
     """Check the structural conditions for coupling β with margin δ > 0.
 
@@ -395,48 +420,16 @@ def check_conditions(V, beta, delta, n=0.0):
     if delta <= 0:
         raise ValueError("delta must be positive")
     alpha_v = alpha_of_v(V)
-    approximate = isinstance(V, Tabulated)
-    notes = []
-
-    min_ok = beta >= -alpha_v
-
-    # origin: 2π ∫_0^1 rⁿV(r) r^{1−β−δ} dr < ∞
-    if isinstance(V, Constant):
-        origin_ok = beta + delta < n + 2.0
-    elif isinstance(V, PowerGauss):
-        origin_ok = beta + delta < n + V.n_pow + 2.0
-    elif isinstance(V, Sphere):
-        origin_ok = beta + delta < n + 2.0
-    elif isinstance(V, LogSingular):
-        # rⁿV ~ r^{n−2}(−log r)^{-3/2}: integrable against r^{1−β−δ} iff
-        # β+δ ≤ n
-        origin_ok = beta + delta <= n
-    else:
-        origin_ok = _probe_integral(V, n - beta - delta, 1e-4, 1.0,
-                                    refine_lo=True)
-        notes.append("origin integral probed numerically")
-
-    # infinity: 2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞
-    if isinstance(V, Constant):
-        infinity_ok = beta > n + 2.0 + delta
-    elif isinstance(V, PowerGauss):
-        infinity_ok = (True if V.gamma > 0
-                       else beta > n + V.n_pow + 2.0 + delta)
-    elif isinstance(V, Sphere):
-        infinity_ok = beta > 2.0 * V.l + n + 2.0 + delta
-    elif isinstance(V, LogSingular):
-        infinity_ok = True  # compact support
-    else:
-        infinity_ok = _probe_integral(V, n - beta + delta, 1.0, V.radii[-1],
-                                      refine_lo=False)
-        notes.append("infinity integral probed numerically")
-
+    notes = (["origin integral probed numerically",
+              "infinity integral probed numerically"] if V.sampled else [])
     return ConditionReport(
         beta=float(beta), delta=float(delta), alpha_v=float(alpha_v),
-        min_condition_ok=bool(min_ok), origin_integral_ok=bool(origin_ok),
-        infinity_integral_ok=bool(infinity_ok), vminus_integral_ok=True,
+        min_condition_ok=bool(beta >= -alpha_v),
+        origin_integral_ok=bool(V.origin_integrable(beta, delta, n)),
+        infinity_integral_ok=bool(V.infinity_integrable(beta, delta, n)),
+        vminus_integral_ok=True,
         positivity_annulus_ok=V.positivity_annulus() is not None,
-        approximate=approximate, notes=notes)
+        approximate=V.sampled, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .grids import make_grid
-from .potentials import Constant, LogSingular, PowerGauss, Sphere
+from .potentials import LogSingular
 from .solution import NormalizedSolution
 
 __all__ = [
@@ -118,11 +118,6 @@ class ShootResult:
     phi = property(lambda self: self._columns[2])
     dphi = property(lambda self: self._columns[3])
 
-    @property
-    def mass_raw(self):
-        """m(r) = ∫₀^r tⁿ⁺¹V e^ψ dt = −σ·rψ′, exact along the trajectory."""
-        return -self.sigma * self.dpsi
-
     def sample(self, r):
         """(ψ, rψ′, φ, rφ′) at arbitrary radii (series + dense interpolants)."""
         return self._sampler(r)
@@ -156,20 +151,6 @@ class MassMapEntry:
     beta_prime: float = math.nan
     beta_prime_fd: float = math.nan   # centered difference when neighbors exist
     error: str = None
-
-
-def _smooth_scalar_fn(V):
-    """Fast scalar callable for Ṽ(r) = V(r)/r^{n_pow}."""
-    if isinstance(V, Constant):
-        c = V.c
-        return lambda r: c
-    if isinstance(V, PowerGauss):
-        g, a = V.gamma, V.alpha_exp
-        return lambda r: math.exp(-g * r ** a)
-    if isinstance(V, Sphere):
-        l, g = V.l, V.gamma
-        return lambda r: (1.0 + r * r) ** l * math.exp(2.0 * g / (1.0 + r * r))
-    return lambda r: float(V.smooth_value(r))
 
 
 class _Sampler:
@@ -218,7 +199,7 @@ class _Sampler:
 
 def _tail_integrals(V, n_eff, x_end, psi_end, u_end, phi_end, w_end):
     """Frozen-slope tail of ∫ tⁿ⁺¹V e^ψ dt and ∫ tⁿ⁺¹V e^ψ φ dt past r_max."""
-    vs = _smooth_scalar_fn(V)
+    vs = V.smooth_scalar
     r_end = math.exp(x_end)
 
     def log_density(t):
@@ -264,7 +245,7 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     if isinstance(V, LogSingular):
         raise ValueError("log-singular weight has no finite center value; "
                          "use the closed-form oracle instead of shooting")
-    if n > 0 and isinstance(V, PowerGauss) and V.n_pow > 0:
+    if n > 0 and V.n_pow > 0:
         warnings.warn("both the ODE weight exponent n and the potential's own "
                       "r-power are nonzero; the effective weight is "
                       "r^(n+n_pow)·(smooth factor) — do not double-count",
@@ -275,7 +256,7 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     if s > _PSI_CAP:
         raise ShootingError("center value too large: e^ψ overflows at r = 0")
 
-    vs = _smooth_scalar_fn(V)
+    vs = V.smooth_scalar
     v0 = vs(0.0) if V.n_pow == 0 else vs(1e-30)
     a = v0 * math.exp(s) / (n_eff + 2.0) ** 2
     if a > 0.0:
@@ -503,6 +484,7 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     (s_lo, b_lo, res_lo), (s_hi, b_hi, res_hi), history, flat_family = \
         _bracket_search(shoot, beta_target, float(bracket[0]),
                         float(bracket[1]), c.root_tol)
+    n_bracket = len(history)
 
     flags = []
     best = None
@@ -562,7 +544,7 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     out.tolerances = {"abs_tol": c.abs_tol, "rel_tol": c.rel_tol,
                       "root_tol": c.root_tol, "tail_rel_tol": c.tail_rel_tol}
     out.meta["beta_target"] = beta_target
-    out.meta["root_iterations"] = len(history)
+    out.meta["root_iterations"] = len(history) - n_bracket  # secant/bisection
     if flags:
         out.meta["flags"] = flags
     return out

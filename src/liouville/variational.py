@@ -72,7 +72,6 @@ class Gauge:
     dpsi0: np.ndarray     # r ψ₀′ at the nodes
     f: np.ndarray         # −Δψ₀, supported in r < 1
     f_total: float        # node quadrature of ∫f (must be −4πβ)
-    r_smooth: float = 1.0
 
 
 @dataclass

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .potentials import Tabulated
 from .solution import NormalizedSolution
 
 __all__ = ["IdentityReport", "check_identities", "compare_solutions",
@@ -87,7 +86,7 @@ def _recomputed_mass(sol, V):
     r = sol.grid.nodes
     x = np.log(r)
     y = r ** (sol.n + 2.0) * V.value(r) * np.exp(sol.psi)   # integrand · r
-    cutoff = getattr(V, "cutoff_radius", None)
+    cutoff = V.cutoff_radius
     if cutoff is None or cutoff <= r[0] or cutoff > r[-1]:
         inc = cumulative_simpson(y, x=x, initial=0.0)
         return float(sol.mass[0]) + 2.0 * math.pi * inc
@@ -120,7 +119,7 @@ def _index_integral(sol, V):
           * math.exp(float(sol.psi[0])))
     j0 = q0 / (2.0 * beta) - (n + 2.0 - beta) * float(sol.mass[0])
 
-    cutoff = getattr(V, "cutoff_radius", None)
+    cutoff = V.cutoff_radius
     if cutoff is None or cutoff <= r[0] or cutoff > r[-1]:
         bulk = simpson(y, x=x)
         jump = 0.0
@@ -167,7 +166,7 @@ def check_identities(sol, V=None):
         [[0.0], np.cumsum(0.5 * (u2[1:] + u2[:-1]) * np.diff(x))])
     pick = np.unique(np.linspace(0, r.size - 1, 32).astype(int))
     log_lip_ok = True
-    worst = 0.0
+    worst = 0.0   # the bound constant: sup over checked pairs of lhs − rhs
     for a_i in range(pick.size):
         i = pick[a_i]
         for j in pick[a_i + 1:]:
@@ -179,10 +178,6 @@ def check_identities(sol, V=None):
             # genuine corruption violates by orders of magnitude more
             if lhs > rhs + 1e-6 * (1.0 + abs(rhs)):
                 log_lip_ok = False
-    # the bound constant: sup over checked pairs of lhs/rhs
-    with np.errstate(invalid="ignore"):
-        log_lip_constant = worst
-
     # |r ψ̃′| ≤ 2|β| M(r) ≤ 2|β| since M(∞) = 1; compare against the unit
     # bound (the recomputed truncated mass can sit a quadrature error below 1
     # even when the slope legitimately attains 2|β| at r_max)
@@ -203,8 +198,8 @@ def check_identities(sol, V=None):
         grad_bound_ok=grad_bound_ok,
         P_min=float(p_min),
         c2_upper_bound=c2,
-        log_lip_constant=float(log_lip_constant),
-        pokhozhaev_approximate=isinstance(V, Tabulated),
+        log_lip_constant=float(worst),
+        pokhozhaev_approximate=V.sampled,
         beta=float(beta), n=float(sol.n), n_nodes=sol.grid.n_nodes)
 
 
@@ -239,7 +234,7 @@ def pokhozhaev_P(sol, V):
             [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * d)])
         # origin cell: integrand ~ C r^{n+1}
         cum += integrand[0] * r[0] / (n + 2.0)
-        cutoff = getattr(V, "cutoff_radius", None)
+        cutoff = V.cutoff_radius
         if cutoff is not None and r[0] < cutoff <= r[-1]:
             # V drops by V(α⁻) at the cutoff: P jumps down accordingly
             p_at = np.interp(math.log(cutoff), np.log(r), psi_raw)

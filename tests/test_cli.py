@@ -170,6 +170,15 @@ def test_config_file_supplies_tolerances(tmp_path, capsys):
     assert "beta=1 " in capsys.readouterr().out
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # a misspelt key (dash for underscore) would otherwise be ignored silently
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("root-tol=1e-30\n")
+    assert run("find", "--beta", 1, "--potential", GAUSS,
+               "--config", cfg) == 1
+    assert "'root-tol'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run("solve", "--beta", 1, "--potential", "bogus:x=1",
                "--out", "x.json") == 1

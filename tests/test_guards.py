@@ -1,4 +1,5 @@
-"""Structural guards: solver-free modules and the traced benchmark's hooks."""
+"""Structural guards: solver-free modules, no branching on the weight's
+type, and the traced benchmark's hooks."""
 
 import ast
 import json
@@ -33,6 +34,41 @@ def test_module_imports_no_solver(name):
     # verify.py is an independent check of the solvers' output; the others
     # are layers the solvers build on
     assert not _imported_modules(PACKAGE / f"{name}.py") & SOLVERS
+
+
+WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",
+                  "Tabulated"}
+# shooting refuses the log-singular weight, which has no finite center value
+ALLOWED_WEIGHT_TESTS = {("shooting", "integrate_ivp", "LogSingular")}
+
+
+def _weight_type_tests(path):
+    """(enclosing function, class) of every isinstance call on a weight class."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                name = getattr(kind, "id", getattr(kind, "attr", None))
+                if name in WEIGHT_CLASSES:
+                    found.append((func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_no_module_tests_a_weight_type():
+    # per-weight facts are attributes of the Potential classes; a module that
+    # branches on the weight's type must be edited for every new weight
+    found = [(path.stem, func, cls) for path in sorted(PACKAGE.glob("*.py"))
+             for func, cls in _weight_type_tests(path)]
+    assert [site for site in found if site not in ALLOWED_WEIGHT_TESTS] == []
 
 
 TRACED_METRICS = """

@@ -214,6 +214,221 @@ def test_delta_must_be_positive():
         check_conditions(Constant(1.0), beta=1.0, delta=0.0)
 
 
+# --- pinned weight facts ------------------------------------------------------
+# α(V) and check_conditions(V, β, δ = 0.25, n) as recorded before the weight
+# facts moved onto the Potential classes.  Rows cover generic couplings, β = −α
+# and every β where β + δ or β − δ equals an origin or infinity threshold
+# exactly.  The flag string spells (min_condition_ok, origin_integral_ok,
+# infinity_integral_ok); every value is compared with ==.
+
+_TABLE_R = np.geomspace(1e-3, 1e3, 241)
+_PINNED_WEIGHTS = {
+    "const": Constant(1.0),
+    "const-zero": Constant(0.0),
+    "gauss": PowerGauss(0.0, 1.0, 2.0),
+    "gauss-npow2": PowerGauss(2.0, 0.5, 1.0),
+    "gauss-gamma0": PowerGauss(-1.0, 0.0, 2.0),
+    "sphere-l-1": Sphere(-1.0, 0.0),
+    "sphere-l-2": Sphere(-2.0, 0.5),
+    "logsing": LogSingular(math.exp(-1.0)),
+    "table": Tabulated(_TABLE_R, (1.0 + _TABLE_R * _TABLE_R) ** -2.0),
+}
+_PROBE_NOTES = ["origin integral probed numerically",
+                "infinity integral probed numerically"]
+# name: (α(V), positivity_annulus_ok, approximate, notes, [(n, β, flags)])
+_PINNED_FACTS = {
+    "const": (-1.0, True, False, [], [
+        (0, -1.5, "FTF"),
+        (0, 0.5, "FTF"),
+        (0, 1.0, "TTF"),
+        (0, 1.75, "TFF"),
+        (0, 2.25, "TFF"),
+        (0, 2.5, "TFT"),
+        (1, -1.5, "FTF"),
+        (1, 0.5, "FTF"),
+        (1, 1.0, "TTF"),
+        (1, 2.5, "TTF"),
+        (1, 2.75, "TFF"),
+        (1, 3.25, "TFF"),
+        (2, -1.5, "FTF"),
+        (2, 0.5, "FTF"),
+        (2, 1.0, "TTF"),
+        (2, 2.5, "TTF"),
+        (2, 3.75, "TFF"),
+        (2, 4.25, "TFF"),
+    ]),
+    "const-zero": (-1.0, False, False, [], [
+        (0, -1.5, "FTF"),
+        (0, 0.5, "FTF"),
+        (0, 1.0, "TTF"),
+        (0, 1.75, "TFF"),
+        (0, 2.25, "TFF"),
+        (0, 2.5, "TFT"),
+        (1, -1.5, "FTF"),
+        (1, 0.5, "FTF"),
+        (1, 1.0, "TTF"),
+        (1, 2.5, "TTF"),
+        (1, 2.75, "TFF"),
+        (1, 3.25, "TFF"),
+        (2, -1.5, "FTF"),
+        (2, 0.5, "FTF"),
+        (2, 1.0, "TTF"),
+        (2, 2.5, "TTF"),
+        (2, 3.75, "TFF"),
+        (2, 4.25, "TFF"),
+    ]),
+    "gauss": (math.inf, True, False, [], [
+        (0, -1.5, "TTT"),
+        (0, 0.5, "TTT"),
+        (0, 1.0, "TTT"),
+        (0, 1.75, "TFT"),
+        (0, 2.5, "TFT"),
+        (1, -1.5, "TTT"),
+        (1, 0.5, "TTT"),
+        (1, 1.0, "TTT"),
+        (1, 2.5, "TTT"),
+        (1, 2.75, "TFT"),
+        (2, -1.5, "TTT"),
+        (2, 0.5, "TTT"),
+        (2, 1.0, "TTT"),
+        (2, 2.5, "TTT"),
+        (2, 3.75, "TFT"),
+    ]),
+    "gauss-npow2": (math.inf, True, False, [], [
+        (0, -1.5, "TTT"),
+        (0, 0.5, "TTT"),
+        (0, 1.0, "TTT"),
+        (0, 2.5, "TTT"),
+        (0, 3.75, "TFT"),
+        (1, -1.5, "TTT"),
+        (1, 0.5, "TTT"),
+        (1, 1.0, "TTT"),
+        (1, 2.5, "TTT"),
+        (1, 4.75, "TFT"),
+        (2, -1.5, "TTT"),
+        (2, 0.5, "TTT"),
+        (2, 1.0, "TTT"),
+        (2, 2.5, "TTT"),
+        (2, 5.75, "TFT"),
+    ]),
+    "gauss-gamma0": (-0.5, True, False, [], [
+        (0, -1.5, "FTF"),
+        (0, 0.5, "TTF"),
+        (0, 0.75, "TFF"),
+        (0, 1.0, "TFF"),
+        (0, 1.25, "TFF"),
+        (0, 2.5, "TFT"),
+        (1, -1.5, "FTF"),
+        (1, 0.5, "TTF"),
+        (1, 1.0, "TTF"),
+        (1, 1.75, "TFF"),
+        (1, 2.25, "TFF"),
+        (1, 2.5, "TFT"),
+        (2, -1.5, "FTF"),
+        (2, 0.5, "TTF"),
+        (2, 1.0, "TTF"),
+        (2, 2.5, "TTF"),
+        (2, 2.75, "TFF"),
+        (2, 3.25, "TFF"),
+    ]),
+    "sphere-l-1": (0.0, True, False, [], [
+        (0, -1.5, "FTF"),
+        (0, -0.25, "FTF"),
+        (0, -0.0, "TTF"),
+        (0, 0.25, "TTF"),
+        (0, 0.5, "TTT"),
+        (0, 1.0, "TTT"),
+        (0, 1.75, "TFT"),
+        (0, 2.5, "TFT"),
+        (1, -1.5, "FTF"),
+        (1, -0.0, "TTF"),
+        (1, 0.5, "TTF"),
+        (1, 0.75, "TTF"),
+        (1, 1.0, "TTF"),
+        (1, 1.25, "TTF"),
+        (1, 2.5, "TTT"),
+        (1, 2.75, "TFT"),
+        (2, -1.5, "FTF"),
+        (2, -0.0, "TTF"),
+        (2, 0.5, "TTF"),
+        (2, 1.0, "TTF"),
+        (2, 1.75, "TTF"),
+        (2, 2.25, "TTF"),
+        (2, 2.5, "TTT"),
+        (2, 3.75, "TFT"),
+    ]),
+    "sphere-l-2": (1.0, True, False, [], [
+        (0, -2.25, "FTF"),
+        (0, -1.75, "FTF"),
+        (0, -1.5, "FTT"),
+        (0, -1.0, "TTT"),
+        (0, 0.5, "TTT"),
+        (0, 1.0, "TTT"),
+        (0, 1.75, "TFT"),
+        (0, 2.5, "TFT"),
+        (1, -1.5, "FTF"),
+        (1, -1.25, "FTF"),
+        (1, -1.0, "TTF"),
+        (1, -0.75, "TTF"),
+        (1, 0.5, "TTT"),
+        (1, 1.0, "TTT"),
+        (1, 2.5, "TTT"),
+        (1, 2.75, "TFT"),
+        (2, -1.5, "FTF"),
+        (2, -1.0, "TTF"),
+        (2, -0.25, "TTF"),
+        (2, 0.25, "TTF"),
+        (2, 0.5, "TTT"),
+        (2, 1.0, "TTT"),
+        (2, 2.5, "TTT"),
+        (2, 3.75, "TFT"),
+    ]),
+    "logsing": (math.inf, True, False, [], [
+        (0, -1.5, "TTT"),
+        (0, -0.25, "TTT"),
+        (0, 0.5, "TFT"),
+        (0, 1.0, "TFT"),
+        (0, 2.5, "TFT"),
+        (1, -1.5, "TTT"),
+        (1, -0.25, "TTT"),
+        (1, 0.5, "TTT"),
+        (1, 0.75, "TTT"),
+        (1, 1.0, "TFT"),
+        (1, 2.5, "TFT"),
+        (2, -1.5, "TTT"),
+        (2, -0.25, "TTT"),
+        (2, 0.5, "TTT"),
+        (2, 1.0, "TTT"),
+        (2, 1.75, "TTT"),
+        (2, 2.5, "TFT"),
+    ]),
+    "table": (0.9999664255504981, True, True, _PROBE_NOTES, [
+        (0, -1.75, "FTF"),
+        (0, 1.75, "TFF"),
+        (1, -0.75, "TTF"),
+        (1, 2.75, "TFF"),
+        (2, 0.25, "TTF"),
+        (2, 3.75, "TFF"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name,n,beta,flags", [
+    (name, *row) for name, facts in _PINNED_FACTS.items() for row in facts[4]])
+def test_weight_facts_match_the_recorded_table(name, n, beta, flags):
+    V = _PINNED_WEIGHTS[name]
+    alpha, annulus_ok, approximate, notes, _ = _PINNED_FACTS[name]
+    min_ok, origin_ok, infinity_ok = (f == "T" for f in flags)
+    assert alpha_of_v(V) == alpha
+    assert check_conditions(V, beta, 0.25, n).to_dict() == {
+        "beta": beta, "delta": 0.25, "alpha_v": alpha,
+        "min_condition_ok": min_ok, "origin_integral_ok": origin_ok,
+        "infinity_integral_ok": infinity_ok, "vminus_integral_ok": True,
+        "positivity_annulus_ok": annulus_ok, "approximate": approximate,
+        "all_pass": min_ok and origin_ok and infinity_ok and annulus_ok,
+        "notes": notes}
+
+
 # --- descriptors, parsing, CSV loading ---------------------------------------
 
 @pytest.mark.parametrize("spec,cls", [

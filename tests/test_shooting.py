@@ -228,6 +228,13 @@ def test_solve_for_beta_samples_one_trajectory(monkeypatch):
     assert len(calls) == 1
 
 
+def test_root_iterations_count_only_root_steps():
+    # r²·const at β = n + 2 is a scaling family: both bracket ends already
+    # solve, so no secant or bisection step runs
+    sol = solve_for_beta(Constant(1.0), 2.0, 4.0, (-2.0, 2.0))
+    assert sol.meta["root_iterations"] == 0
+
+
 def test_solve_for_beta_zero_target_rejected():
     with pytest.raises(ValueError, match="nonzero"):
         solve_for_beta(GAUSS, 0.0, 0.0, (-3.0, 3.0))
