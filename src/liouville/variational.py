@@ -20,9 +20,12 @@ Discretization: piecewise-linear radial finite elements on a grid of 4096
 nodes spaced uniformly in log r, mass lumping for the exponential integral,
 and load coefficients rescaled so that Σν = −4πβ holds exactly — this keeps
 𝓔[φ+c] = 𝓔[φ] true to round-off and makes the discrete gradient exactly the
-residual of the discrete Euler–Lagrange system.  Minimization runs
-limited-memory quasi-Newton with line search, then a Newton polish that
-exploits the tridiagonal-plus-rank-one Hessian structure (Sherman–Morrison).
+residual of the discrete Euler–Lagrange system.  Minimization runs a
+Levenberg-damped Newton iteration from the start, whose step solves the
+tridiagonal-plus-rank-one Hessian system (Sherman–Morrison).  Only when
+Newton stalls short of the gradient tolerance does limited-memory
+quasi-Newton (L-BFGS-B) descend from where it stopped, after which Newton
+runs once more.
 One discretization is built per disk: the minimizer's result carries it, and
 the assembled solution reuses it together with the minimizer's log-mass.
 
@@ -54,10 +57,10 @@ __all__ = [
 
 
 _N_NODES = 4096            # grid nodes per disk
-_MAX_ITER = 500            # L-BFGS-B iteration cap
+_MAX_ITER = 500            # L-BFGS-B iteration cap after a Newton stall
 _GRAD_TOL = 1e-8           # sup-norm of the gradient at convergence
-_ENERGY_DROP_CAP = 1e6     # a drop this far below 𝓔[φ₀] means 𝓔 is unbounded
-_POLISH_ITER = 120         # Newton polish steps
+_ENERGY_DROP_CAP = 1e6     # a drop this far below min(𝓔[init], 𝓔[0]): unbounded
+_NEWTON_ITER = 120         # step cap of each damped Newton run
 
 
 class EnergyUnboundedError(RuntimeError):
@@ -248,8 +251,77 @@ def _certificate(disc, gauge, V, delta):
     return cert
 
 
+def _check_drop(value, cap_floor, beta):
+    if value < cap_floor:
+        raise EnergyUnboundedError(
+            "infimum -inf — hypothesis (1.3) likely violated: energy fell "
+            f"below {cap_floor:.3g} while minimizing (beta = {beta:g})")
+
+
+def _newton(disc, phi, trace, cap_floor):
+    """Levenberg-damped Newton on H = T + ρ m mᵀ (tridiagonal + rank-one).
+
+    Sherman–Morrison keeps every solve banded; λ adapts: shrink on an
+    accepted step, grow when the shifted system is not a safe descent
+    system (T indefiniteness shows up as a non-positive denominator).  Stops
+    at a gradient below 1e-11, after ``_NEWTON_ITER`` steps, or when 25
+    damping increases in a row are rejected.  Appends each energy decrease
+    to ``trace``; returns (φ, accepted steps, sup-norm of the gradient).
+    """
+    value, grad, log_s, _ = disc.energy_grad(phi)
+    grad_norm = float(np.max(np.abs(grad[:-1])))
+    rho = 4.0 * math.pi * disc.beta
+    lam = 1e-3
+    steps = 0
+    for _ in range(_NEWTON_ITER):
+        if grad_norm < 1e-11:
+            break
+        band, m = disc.hessian_banded(phi, log_s)
+        accepted = False
+        for _ in range(25):
+            band_l = band.copy()
+            band_l[1] += lam
+            try:
+                sol2 = solve_banded((1, 1), band_l,
+                                    np.column_stack([-grad[:-1], m]))
+            except (np.linalg.LinAlgError, ValueError):
+                lam *= 4.0
+                continue
+            t_g, t_m = sol2[:, 0], sol2[:, 1]
+            denom = 1.0 + rho * float(np.dot(m, t_m))
+            if denom == 0.0 or not np.all(np.isfinite(sol2)):
+                lam *= 4.0
+                continue
+            red = t_g - rho * t_m * float(np.dot(m, t_g)) / denom
+            if float(np.dot(grad[:-1], red)) >= 0.0:
+                lam *= 4.0
+                continue
+            trial = phi + np.concatenate([red, [0.0]])
+            tv, tg, tls, _ = disc.energy_grad(trial)
+            tgn = float(np.max(np.abs(tg[:-1])))
+            if tv < value or (tv == value and tgn < grad_norm):
+                if tv < value:
+                    _check_drop(tv, cap_floor, disc.beta)
+                    trace.append(tv)
+                phi, value, grad, log_s, grad_norm = trial, tv, tg, tls, tgn
+                steps += 1
+                lam = max(lam / 3.0, 1e-14)
+                accepted = True
+                break
+            lam *= 4.0
+        if not accepted:
+            break
+    return phi, steps, grad_norm
+
+
 def minimize(gauge, V, R=None, init=None, n=0.0):
-    """Minimize the gauged energy over radial profiles with φ(R) = 0."""
+    """Minimize the gauged energy over radial profiles with φ(R) = 0.
+
+    Damped Newton runs first; when it stops short of ``_GRAD_TOL`` (step cap
+    or rejected damping), L-BFGS-B descends from where it stopped and Newton
+    runs once more.  ``iterations`` counts Newton steps plus L-BFGS-B
+    iterations.
+    """
     grid = gauge.grid
     if R is not None and not math.isclose(R, grid.r_max, rel_tol=1e-12):
         raise ValueError("R must match the gauge grid's r_max")
@@ -274,78 +346,36 @@ def minimize(gauge, V, R=None, init=None, n=0.0):
     phi = np.zeros(nn) if init is None else np.array(init, dtype=float)
     if phi.shape != (nn,):
         raise ValueError("init must match the grid")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("init must be finite at every node")
     phi[-1] = 0.0
 
     e0 = disc.energy_grad(phi)[0]
     trace = [e0]
-    cap_floor = e0 - _ENERGY_DROP_CAP
+    # anchored at the lower of 𝓔[init] and 𝓔[0]: a rough init starts far
+    # above the infimum, and its descent is no evidence of an unbounded 𝓔
+    cap_floor = min(e0, disc.energy_grad(np.zeros(nn))[0]) - _ENERGY_DROP_CAP
 
-    def objective(x):
-        full = np.concatenate([x, [0.0]])
-        value, grad, _, _ = disc.energy_grad(full)
-        if value < cap_floor:
-            raise EnergyUnboundedError(
-                "infimum -inf — hypothesis (1.3) likely violated: energy fell "
-                f"below {cap_floor:.3g} while minimizing (beta = {gauge.beta:g})")
-        return value, grad[:-1]
+    phi, iterations, grad_norm = _newton(disc, phi, trace, cap_floor)
+    if grad_norm >= _GRAD_TOL:
+        def objective(x):
+            full = np.concatenate([x, [0.0]])
+            value, grad, _, _ = disc.energy_grad(full)
+            _check_drop(value, cap_floor, gauge.beta)
+            return value, grad[:-1]
 
-    def on_step(xk):
-        trace.append(objective(xk)[0])
+        def on_step(xk):
+            trace.append(objective(xk)[0])
 
-    res = scipy_minimize(objective, phi[:-1], jac=True, method="L-BFGS-B",
-                         callback=on_step,
-                         options={"maxiter": _MAX_ITER, "ftol": 1e-16,
-                                  "gtol": _GRAD_TOL, "maxcor": 20})
-    phi = np.concatenate([res.x, [0.0]])
-    value, grad, log_s, dirichlet = disc.energy_grad(phi)
-    grad_norm = float(np.max(np.abs(grad[:-1])))
-    iterations = int(res.nit)
+        res = scipy_minimize(objective, phi[:-1], jac=True, method="L-BFGS-B",
+                             callback=on_step,
+                             options={"maxiter": _MAX_ITER, "ftol": 1e-16,
+                                      "gtol": _GRAD_TOL, "maxcor": 20})
+        phi, steps, grad_norm = _newton(
+            disc, np.concatenate([res.x, [0.0]]), trace, cap_floor)
+        iterations += int(res.nit) + steps
 
-    # Levenberg-damped Newton on H = T + ρ m mᵀ (tridiagonal + rank-one);
-    # Sherman–Morrison keeps every solve banded, λ adapts: shrink on an
-    # accepted step, grow when the shifted system is not a safe descent
-    # system (T indefiniteness shows up as a non-positive denominator).
-    rho = 4.0 * math.pi * gauge.beta
-    lam = 1e-3
-    for _ in range(_POLISH_ITER):
-        if grad_norm < 1e-11:
-            break
-        band, m = disc.hessian_banded(phi, log_s)
-        accepted = False
-        for _ in range(25):
-            band_l = band.copy()
-            band_l[1] += lam
-            try:
-                sol2 = solve_banded((1, 1), band_l,
-                                    np.column_stack([-grad[:-1], m]))
-            except (np.linalg.LinAlgError, ValueError):
-                lam *= 4.0
-                continue
-            t_g, t_m = sol2[:, 0], sol2[:, 1]
-            denom = 1.0 + rho * float(np.dot(m, t_m))
-            if denom == 0.0 or not np.all(np.isfinite(sol2)):
-                lam *= 4.0
-                continue
-            red = t_g - rho * t_m * float(np.dot(m, t_g)) / denom
-            if float(np.dot(grad[:-1], red)) >= 0.0:
-                lam *= 4.0
-                continue
-            trial = phi + np.concatenate([red, [0.0]])
-            tv, tg, tls, tdir = disc.energy_grad(trial)
-            tgn = float(np.max(np.abs(tg[:-1])))
-            if tv < value or (tv == value and tgn < grad_norm):
-                if tv < value:
-                    trace.append(tv)
-                phi, value, grad = trial, tv, tg
-                log_s, dirichlet, grad_norm = tls, tdir, tgn
-                iterations += 1
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                break
-            lam *= 4.0
-        if not accepted:
-            break
-
+    value, _, log_s, dirichlet = disc.energy_grad(phi)
     converged = grad_norm < _GRAD_TOL
     if not converged:
         flags.append("not_converged")

@@ -1,8 +1,9 @@
 """Structural guards: solver-free modules, no branching on the weight's
-type, and the traced benchmark's hooks."""
+type, and the traced benchmark's hooks and output."""
 
 import ast
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +91,22 @@ def test_traced_benchmark_finds_every_layer():
          str(ROOT / "perfbench")],
         capture_output=True, text=True, check=True, cwd=ROOT)
     assert json.loads(out.stdout) == []
+
+
+@pytest.mark.parametrize("workload", ["shoot", "scan", "variational"])
+def test_traced_benchmark_round_reports_every_metric(tmp_path, workload):
+    # one traced round of the benchmark, end to end, in a copy of the
+    # checkout so that its output directory stays untouched
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, check=True, cwd=tmp_path)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"]
+    metrics = result["metrics"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert sorted(metrics) == sorted(m["name"] for m in spec["per_layer"])
+    assert [name for name, m in metrics.items() if m["value"] is None] == []

@@ -191,6 +191,59 @@ def test_minimize_init_shape_checked():
         minimize(gz, GAUSS, init=np.zeros(100))
 
 
+def test_minimize_init_must_be_finite():
+    # regression: one NaN node gave an all-NaN profile flagged only
+    # not_converged
+    gz = build_gauge(1.0, make_grid(8.0, 512))
+    init = np.zeros(512)
+    init[5] = np.nan
+    with pytest.raises(ValueError, match="init"):
+        minimize(gz, GAUSS, init=init)
+
+
+@pytest.mark.parametrize("amplitude", [100.0, 1000.0])
+def test_rough_init_is_not_called_unbounded(amplitude):
+    # regression: the drop cap was anchored at 𝓔[init], which a rough init
+    # puts far above the infimum, so a subcritical β raised "infimum -inf"
+    gz = build_gauge(1.0, make_grid(12.0, 4096))
+    init = amplitude * np.sin(np.linspace(0.0, 40.0, 4096))
+    res = minimize(gz, GAUSS, init=init)
+    assert res.converged
+    assert float(np.max(np.abs(res.phi - minimize(gz, GAUSS).phi))) < 1e-6
+
+
+def _count_lbfgs(monkeypatch):
+    calls = []
+    lbfgs = variational.scipy_minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lbfgs(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "scipy_minimize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, beta", [(0.0, 1.0), (1.0, 2.5)])
+def test_newton_alone_converges_subcritical_solves(monkeypatch, n, beta):
+    calls = _count_lbfgs(monkeypatch)
+    _, res = variational_solve(GAUSS, n, beta)
+    assert calls == []
+    assert res.converged
+    assert res.iterations <= 15
+
+
+def test_lbfgs_rescues_a_newton_stall(monkeypatch):
+    # β = n + 2 with a constant weight: Newton alone runs into its step cap
+    calls = _count_lbfgs(monkeypatch)
+    res = minimize(build_gauge(4.0, make_grid(12.0, 4096)), Constant(1.0),
+                   n=2.0)
+    assert len(calls) == 1
+    assert res.converged
+    trace = res.energy_trace
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
 def test_minimize_checks_conditions_for_the_weight_exponent():
     # regression: β = 2.5 lies inside the n = 1 window β < n + 2 of the
     # Gaussian weight, yet the n-blind check flagged it
