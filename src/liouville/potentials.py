@@ -7,7 +7,8 @@ Every weight used by the suite is non-negative and radial.  The catalog:
     Sphere(l, gamma)                 V = (1+r²)^l · exp(2·gamma/(1+r²))
     LogSingular(alpha_cut)           V = −1/(8πβ) · 1_{r≤α} · r⁻²(−log r)^{−3/2},
                                      β = 1/(4 log α) < 0 stored alongside
-    Tabulated(radii, values)         piecewise linear in log r
+    Tabulated(radii, values)         monotone C¹ cubic in log r, constant
+                                     below the table, fitted power-law tail
 
 Two structural quantities drive existence theory and are exposed here:
 
@@ -18,16 +19,18 @@ Two structural quantities drive existence theory and are exposed here:
     catalog).
 
 Both follow from two exponents that every weight states: V ~ r^n_pow at the
-origin and V ~ r^decay_power at infinity.  A weight that these powers do not
-describe (the log-singular borderline, a sampled table) overrides the
-condition it changes.
+origin and V ~ r^decay_power at infinity.  The log-singular borderline,
+which these powers do not describe, overrides the origin condition.  A
+sampled table is constant below its first node and follows its fitted
+power law past its last, so both powers describe it exactly.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "Constant", "PowerGauss", "Sphere", "LogSingular", "Tabulated",
@@ -55,7 +58,7 @@ class Potential:
     decay_power = 0.0
     #: radius where V drops discontinuously to zero, or None
     cutoff_radius = None
-    #: V is sampled, so its conditions are probed numerically (approximate)
+    #: V is sampled, so its decay power is a fit and its conditions approximate
     sampled = False
 
     def value_and_derivative(self, r):
@@ -260,10 +263,14 @@ class LogSingular(Potential):
 
 
 class Tabulated(Potential):
-    """Piecewise-linear weight in log r, loaded from (r, V) samples.
+    """Weight sampled at (r, V) nodes, with one model that every layer reads.
 
-    Values clamp to the table ends outside [radii[0], radii[-1]]; tabulate out
-    to radii where V is negligible if the tail matters.
+    On [radii[0], radii[-1]] V is the monotone C¹ cubic in log r through the
+    nodes (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980).  Below radii[0]
+    it is the constant values[0], so V ~ r⁰ at the origin.  Past radii[-1] it
+    is the tail values[-1]·(r/radii[-1])^p, where p = decay_power is fitted to
+    the last decade of the table; the tail is 0 when fewer than two nodes of
+    that decade are positive.
     """
 
     sampled = True
@@ -281,21 +288,11 @@ class Tabulated(Potential):
         self.values = values
         self._log_r = np.log(radii)
         self.path = path
+        self._cubic = PchipInterpolator(self._log_r, values)
+        self.decay_power = self._fit_decay_power()
 
-    def _value_deriv(self, r):
-        x = np.log(np.maximum(r, 1e-300))
-        v = np.interp(x, self._log_r, self.values)
-        # slope in log r per segment, then dV/dr = (dV/d log r)/r
-        seg_slope = np.diff(self.values) / np.diff(self._log_r)
-        idx = np.clip(np.searchsorted(self._log_r, x, side="right") - 1, 0,
-                      seg_slope.size - 1)
-        dv = np.where((r > self.radii[0]) & (r < self.radii[-1]),
-                      seg_slope[idx] / np.maximum(r, 1e-300), 0.0)
-        return v, dv
-
-    @property
-    def decay_power(self):
-        """Fitted slope of log V over the last decade of the table."""
+    def _fit_decay_power(self):
+        """Slope of log V over the last decade of the table."""
         r_hi = self.radii[-1]
         r_lo = max(self.radii[0], r_hi / 10.0)
         mask = (self.radii >= r_lo) & (self.values > 0)
@@ -303,35 +300,22 @@ class Tabulated(Potential):
             return -math.inf  # tail is identically zero: compact support
         x = np.log(self.radii[mask])
         y = np.log(self.values[mask])
-        return np.polyfit(x, y, 1)[0]
+        return float(np.polyfit(x, y, 1)[0])
 
-    def origin_integrable(self, beta, delta, n):
-        return self._probe_integral(n - beta - delta, 1e-4, 1.0,
-                                    refine_lo=True)
-
-    def infinity_integrable(self, beta, delta, n):
-        return self._probe_integral(n - beta + delta, 1.0, self.radii[-1],
-                                    refine_lo=False)
-
-    def _probe_integral(self, exponent, lo, hi, refine_lo):
-        """Crude finiteness probe: does ∫ V r^{exponent+1} dr stabilise as the
-        domain end approaches the singular limit?"""
-        import warnings
-
-        from scipy.integrate import IntegrationWarning, quad
-
-        def f(r):
-            return self.value(r) * r ** (exponent + 1.0)
-
-        with warnings.catch_warnings():
-            # coarse finiteness probe; quad roundoff chatter is expected
-            warnings.simplefilter("ignore", IntegrationWarning)
-            a1 = quad(f, lo, hi, limit=200)[0]
-            lo2, hi2 = (lo / 100.0, hi) if refine_lo else (lo, hi * 100.0)
-            a2 = quad(f, lo2, hi2, limit=200)[0]
-        if abs(a1) < 1e-12 and abs(a2) < 1e-12:
-            return True
-        return abs(a2 - a1) < 0.05 * max(abs(a1), 1e-12)
+    def _value_deriv(self, r):
+        r = np.maximum(r, 1e-300)
+        x = np.clip(np.log(r), self._log_r[0], self._log_r[-1])
+        v = self._cubic(x)
+        dv = self._cubic(x, 1) / r                 # dV/dr = (dV/d log r)/r
+        dv[r < self.radii[0]] = 0.0
+        past = r > self.radii[-1]
+        p = self.decay_power
+        if p == -math.inf:
+            v[past] = dv[past] = 0.0
+        elif np.any(past):
+            v[past] = self.values[-1] * (r[past] / self.radii[-1]) ** p
+            dv[past] = p * v[past] / r[past]
+        return v, dv
 
     def positivity_annulus(self):
         pos = self.values > 0
@@ -374,8 +358,9 @@ def alpha_of_v(V):
     """sup{α : ∫_{|x|>1} |V| |x|^{2α} dx < ∞}; +inf when every α qualifies.
 
     V ~ r^p at infinity (p = V.decay_power) makes ∫ r^{p+2α+1} dr finite iff
-    2α < −p − 2.  For a Tabulated weight p is a fit to the last decade of the
-    table, so check_conditions flags the result approximate.
+    2α < −p − 2.  For a Tabulated weight p is fitted to the last decade of
+    the table and V follows r^p past it, so check_conditions flags the result
+    approximate.
     """
     return -1.0 - V.decay_power / 2.0
 
@@ -393,7 +378,6 @@ class ConditionReport:
     vminus_integral_ok: bool     # ∫_{|x|>1} V⁻ |x|^{−2β} < ∞ (V⁻ ≡ 0 here)
     positivity_annulus_ok: bool
     approximate: bool = False
-    notes: list = field(default_factory=list)
 
     @property
     def all_pass(self):
@@ -407,7 +391,6 @@ class ConditionReport:
             "infinity_integral_ok", "vminus_integral_ok", "positivity_annulus_ok",
             "approximate")}
         d["all_pass"] = self.all_pass
-        d["notes"] = list(self.notes)
         return d
 
 
@@ -420,8 +403,6 @@ def check_conditions(V, beta, delta, n=0.0):
     if delta <= 0:
         raise ValueError("delta must be positive")
     alpha_v = alpha_of_v(V)
-    notes = (["origin integral probed numerically",
-              "infinity integral probed numerically"] if V.sampled else [])
     return ConditionReport(
         beta=float(beta), delta=float(delta), alpha_v=float(alpha_v),
         min_condition_ok=bool(beta >= -alpha_v),
@@ -429,7 +410,7 @@ def check_conditions(V, beta, delta, n=0.0):
         infinity_integral_ok=bool(V.infinity_integrable(beta, delta, n)),
         vminus_integral_ok=True,
         positivity_annulus_ok=V.positivity_annulus() is not None,
-        approximate=V.sampled, notes=notes)
+        approximate=V.sampled)
 
 
 # ---------------------------------------------------------------------------

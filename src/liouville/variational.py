@@ -37,7 +37,6 @@ module.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,15 +331,8 @@ def minimize(gauge, V, R=None, init=None, n=0.0):
     flags = []
     gap = (n + float(V.n_pow) + 2.0) - gauge.beta
     delta = min(1.0, gap / 2.0) if gap > 0 else None
-    if delta is None:
+    if delta is None or not check_conditions(V, gauge.beta, delta, n).all_pass:
         flags.append("existence_hypotheses_violated")
-    else:
-        rep = check_conditions(V, gauge.beta, delta, n)
-        if not rep.all_pass:
-            if rep.approximate:
-                warnings.warn("existence conditions probed numerically and "
-                              "not satisfied; proceeding", stacklevel=2)
-            flags.append("existence_hypotheses_violated")
 
     nn = grid.n_nodes
     phi = np.zeros(nn) if init is None else np.array(init, dtype=float)

@@ -37,6 +37,12 @@ def test_module_imports_no_solver(name):
     assert not _imported_modules(PACKAGE / f"{name}.py") & SOLVERS
 
 
+def test_weights_are_not_probed_by_quadrature():
+    # every integrability verdict follows from the exponents a weight
+    # states; a numerical probe of ∫ rⁿV r^k dr gave wrong verdicts
+    assert "integrate" not in _imported_modules(PACKAGE / "potentials.py")
+
+
 WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",
                   "Tabulated"}
 # shooting refuses the log-singular weight, which has no finite center value

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from liouville.potentials import (
     Constant, LogSingular, PowerGauss, Sphere, Tabulated, _safe_pow,
@@ -201,7 +202,7 @@ def test_conditions_use_the_problem_weight_r_to_the_n():
 
 
 def test_conditions_tabulated_probe_uses_r_to_the_n():
-    # V clamps to 1 below the table: ∫₀¹ rⁿ r^{1−β−δ} dr diverges for
+    # V is values[0] = 1 below the table: ∫₀¹ rⁿ r^{1−β−δ} dr diverges for
     # β + δ = 2.5 at n = 0 and converges at n = 1
     r = np.geomspace(1e-4, 50.0, 300)
     V = Tabulated(r, np.exp(-r))
@@ -233,11 +234,9 @@ _PINNED_WEIGHTS = {
     "logsing": LogSingular(math.exp(-1.0)),
     "table": Tabulated(_TABLE_R, (1.0 + _TABLE_R * _TABLE_R) ** -2.0),
 }
-_PROBE_NOTES = ["origin integral probed numerically",
-                "infinity integral probed numerically"]
-# name: (α(V), positivity_annulus_ok, approximate, notes, [(n, β, flags)])
+# name: (α(V), positivity_annulus_ok, approximate, [(n, β, flags)])
 _PINNED_FACTS = {
-    "const": (-1.0, True, False, [], [
+    "const": (-1.0, True, False, [
         (0, -1.5, "FTF"),
         (0, 0.5, "FTF"),
         (0, 1.0, "TTF"),
@@ -257,7 +256,7 @@ _PINNED_FACTS = {
         (2, 3.75, "TFF"),
         (2, 4.25, "TFF"),
     ]),
-    "const-zero": (-1.0, False, False, [], [
+    "const-zero": (-1.0, False, False, [
         (0, -1.5, "FTF"),
         (0, 0.5, "FTF"),
         (0, 1.0, "TTF"),
@@ -277,7 +276,7 @@ _PINNED_FACTS = {
         (2, 3.75, "TFF"),
         (2, 4.25, "TFF"),
     ]),
-    "gauss": (math.inf, True, False, [], [
+    "gauss": (math.inf, True, False, [
         (0, -1.5, "TTT"),
         (0, 0.5, "TTT"),
         (0, 1.0, "TTT"),
@@ -294,7 +293,7 @@ _PINNED_FACTS = {
         (2, 2.5, "TTT"),
         (2, 3.75, "TFT"),
     ]),
-    "gauss-npow2": (math.inf, True, False, [], [
+    "gauss-npow2": (math.inf, True, False, [
         (0, -1.5, "TTT"),
         (0, 0.5, "TTT"),
         (0, 1.0, "TTT"),
@@ -311,7 +310,7 @@ _PINNED_FACTS = {
         (2, 2.5, "TTT"),
         (2, 5.75, "TFT"),
     ]),
-    "gauss-gamma0": (-0.5, True, False, [], [
+    "gauss-gamma0": (-0.5, True, False, [
         (0, -1.5, "FTF"),
         (0, 0.5, "TTF"),
         (0, 0.75, "TFF"),
@@ -331,7 +330,7 @@ _PINNED_FACTS = {
         (2, 2.75, "TFF"),
         (2, 3.25, "TFF"),
     ]),
-    "sphere-l-1": (0.0, True, False, [], [
+    "sphere-l-1": (0.0, True, False, [
         (0, -1.5, "FTF"),
         (0, -0.25, "FTF"),
         (0, -0.0, "TTF"),
@@ -357,7 +356,7 @@ _PINNED_FACTS = {
         (2, 2.5, "TTT"),
         (2, 3.75, "TFT"),
     ]),
-    "sphere-l-2": (1.0, True, False, [], [
+    "sphere-l-2": (1.0, True, False, [
         (0, -2.25, "FTF"),
         (0, -1.75, "FTF"),
         (0, -1.5, "FTT"),
@@ -383,7 +382,7 @@ _PINNED_FACTS = {
         (2, 2.5, "TTT"),
         (2, 3.75, "TFT"),
     ]),
-    "logsing": (math.inf, True, False, [], [
+    "logsing": (math.inf, True, False, [
         (0, -1.5, "TTT"),
         (0, -0.25, "TTT"),
         (0, 0.5, "TFT"),
@@ -402,22 +401,25 @@ _PINNED_FACTS = {
         (2, 1.75, "TTT"),
         (2, 2.5, "TFT"),
     ]),
-    "table": (0.9999664255504981, True, True, _PROBE_NOTES, [
+    # the table follows its fitted r^−3.99993 tail past the last node, so
+    # its infinity flags match sphere-l-2's r⁻⁴ decay; at the thresholds the
+    # fitted power falls just short of −4
+    "table": (0.9999664255504981, True, True, [
         (0, -1.75, "FTF"),
-        (0, 1.75, "TFF"),
+        (0, 1.75, "TFT"),
         (1, -0.75, "TTF"),
-        (1, 2.75, "TFF"),
+        (1, 2.75, "TFT"),
         (2, 0.25, "TTF"),
-        (2, 3.75, "TFF"),
+        (2, 3.75, "TFT"),
     ]),
 }
 
 
 @pytest.mark.parametrize("name,n,beta,flags", [
-    (name, *row) for name, facts in _PINNED_FACTS.items() for row in facts[4]])
+    (name, *row) for name, facts in _PINNED_FACTS.items() for row in facts[3]])
 def test_weight_facts_match_the_recorded_table(name, n, beta, flags):
     V = _PINNED_WEIGHTS[name]
-    alpha, annulus_ok, approximate, notes, _ = _PINNED_FACTS[name]
+    alpha, annulus_ok, approximate, _ = _PINNED_FACTS[name]
     min_ok, origin_ok, infinity_ok = (f == "T" for f in flags)
     assert alpha_of_v(V) == alpha
     assert check_conditions(V, beta, 0.25, n).to_dict() == {
@@ -425,8 +427,54 @@ def test_weight_facts_match_the_recorded_table(name, n, beta, flags):
         "min_condition_ok": min_ok, "origin_integral_ok": origin_ok,
         "infinity_integral_ok": infinity_ok, "vminus_integral_ok": True,
         "positivity_annulus_ok": annulus_ok, "approximate": approximate,
-        "all_pass": min_ok and origin_ok and infinity_ok and annulus_ok,
-        "notes": notes}
+        "all_pass": min_ok and origin_ok and infinity_ok and annulus_ok}
+
+
+# --- the tabulated model -------------------------------------------------------
+
+_SPHERE_TABLE = _PINNED_WEIGHTS["table"]
+
+
+def test_tabulated_infinity_verdict_matches_the_sphere_it_samples():
+    # regression: a quad probe over the tail, clamped to values[-1], called
+    # the r⁻⁴ decay of (1+r²)⁻² divergent
+    table = check_conditions(_SPHERE_TABLE, 1.75, 0.25, 0.0)
+    sphere = check_conditions(Sphere(-2.0, 0.5), 1.75, 0.25, 0.0)
+    assert table.infinity_integral_ok == sphere.infinity_integral_ok
+
+
+def test_tabulated_tail_follows_the_fitted_power():
+    V = _SPHERE_TABLE
+    r_end, p = V.radii[-1], V.decay_power
+    r = r_end * np.array([1.5, 10.0, 1e3])
+    v, dv = V.value_and_derivative(r)
+    tail = V.values[-1] * (r / r_end) ** p
+    np.testing.assert_allclose(v, tail, rtol=1e-14)
+    np.testing.assert_allclose(dv, p * tail / r, rtol=1e-14)
+
+
+def test_tabulated_compact_tail_is_zero():
+    V = Tabulated([0.1, 0.2, 2.0, 4.0], [1.0, 0.5, 0.0, 0.0])
+    assert V.decay_power == -math.inf
+    v, dv = V.value_and_derivative(np.array([5.0, 1e3]))
+    np.testing.assert_array_equal(v, 0.0)
+    np.testing.assert_array_equal(dv, 0.0)
+
+
+def test_tabulated_is_constant_below_the_first_node():
+    V = _SPHERE_TABLE
+    v, dv = V.value_and_derivative(V.radii[0] * np.array([0.0, 1e-6, 0.5]))
+    np.testing.assert_array_equal(v, V.values[0])
+    np.testing.assert_array_equal(dv, 0.0)
+
+
+def test_tabulated_derivative_is_continuous_at_interior_nodes():
+    # the cubic is C¹ in log r: the step control of the ODE integrator
+    # assumes a smooth right-hand side
+    nodes = _SPHERE_TABLE.radii[1:-1]
+    _, left = _SPHERE_TABLE.value_and_derivative(np.nextafter(nodes, 0.0))
+    _, right = _SPHERE_TABLE.value_and_derivative(np.nextafter(nodes, np.inf))
+    np.testing.assert_allclose(left, right, rtol=1e-12)
 
 
 # --- descriptors, parsing, CSV loading ---------------------------------------
@@ -467,7 +515,7 @@ def test_tabulated_csv_round_trip(tmp_path):
     assert isinstance(V, Tabulated)
     mid = math.sqrt(r[3] * r[4])
     assert V.value(mid) == pytest.approx(
-        np.interp(math.log(mid), np.log(r), v))
+        PchipInterpolator(np.log(r), v)(math.log(mid)))
     # interpolation is exact at the knots
     assert V.value(r[7]) == pytest.approx(v[7], rel=1e-12)
 

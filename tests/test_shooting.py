@@ -16,7 +16,8 @@ import pytest
 
 from liouville import shooting
 from liouville.oracles import conformal_bubble
-from liouville.potentials import Constant, LogSingular, PowerGauss
+from liouville.potentials import (Constant, LogSingular, PowerGauss, Sphere,
+                                  Tabulated)
 from liouville.shooting import (Controls, MassDivergence, NonexistenceError,
                                 integrate_ivp, mass_map, solve_for_beta)
 from liouville.solution import NormalizedSolution
@@ -226,6 +227,17 @@ def test_solve_for_beta_samples_one_trajectory(monkeypatch):
     sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))
     assert sol.meta["root_iterations"] > 1
     assert len(calls) == 1
+
+
+def test_solve_for_beta_on_a_table_matches_the_weight_it_samples():
+    # regression: the table's V′ jumped at every node and its tail was
+    # clamped to a constant, so this root search ran out of iterations
+    r = np.geomspace(1e-3, 1e3, 241)
+    table = Tabulated(r, (1.0 + r * r) ** -2.0)
+    sol = solve_for_beta(table, 0.0, 1.5, (-4.0, 4.0))
+    ref = solve_for_beta(Sphere(-2.0, 0.0), 0.0, 1.5, (-4.0, 4.0))
+    assert sol.beta == pytest.approx(1.5, abs=1e-8)
+    assert abs(sol.meta["s_star"] - ref.meta["s_star"]) <= 1e-5
 
 
 def test_root_iterations_count_only_root_steps():
