@@ -25,7 +25,10 @@ n_eff = n + n_pow.  Two exact bookkeeping facts drive the post-processing:
 m(r) := ∫₀^r tⁿ⁺¹V e^ψ dt equals −σ·u(r) (the series start folds in the
 origin cell), and the truncation tail is corrected with the frozen-slope
 model ψ(t) ≈ ψ(r_max) + u(r_max)·log(t/r_max), leaving an O(tail²) error in
-β and β′.
+β and β′.  When the tail is still too large, the same model gives the next
+truncation radius: its mass density per unit log r decays locally like
+e^{−λ log r}, so the radius where the tail fraction meets the tolerance
+follows in closed form (at least one doubling, at most ``_R_MAX_CAP``).
 """
 
 import math
@@ -49,8 +52,8 @@ _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
 _PSI_CAP = 700.0          # e^ψ overflow guard
 _PLATEAU_TOL = 1e-10      # |Δ(rψ′)| over a decade ⇒ mass converged
 _R_MAX_INIT = 64.0        # first truncation radius of an auto-r_max solve
-_R_MAX_CAP = 1e6          # auto-r_max doubles up to this, then gives up
-_MAX_ROOT_ITER = 80       # secant/bisection steps after the bracket search
+_R_MAX_CAP = 1e6          # auto-r_max extends up to this, then gives up
+_MAX_ROOT_ITER = 80       # Newton/secant/bisection steps after the bracket search
 
 
 class ShootingError(RuntimeError):
@@ -197,38 +200,49 @@ class _Sampler:
         return out
 
 
-def _tail_integrals(V, n_eff, x_end, psi_end, u_end, phi_end, w_end):
-    """Frozen-slope tail of ∫ tⁿ⁺¹V e^ψ dt and ∫ tⁿ⁺¹V e^ψ φ dt past r_max."""
+def _tail_integral(V, n_eff, x_end, psi_end, u_end, phi_end=1.0, w_end=0.0):
+    """Frozen-slope tail ∫_{r_max}^∞ tⁿ⁺¹V e^ψ (φ_end + w_end·log(t/r_max)) dt.
+
+    The defaults give the mass tail; (φ, rφ′) at r_max give the φ tail that
+    corrects β′.  Returns inf when the quadrature fails or is not finite.
+    """
     vs = V.smooth_scalar
     r_end = math.exp(x_end)
 
-    def log_density(t):
+    def f(t):
         v = vs(t)
         if v <= 0.0:
-            return None
-        lt = math.log(t)
-        return psi_end + (n_eff + 2.0) * lt - lt + u_end * (lt - x_end) + math.log(v)
-
-    def f_mass(t):
-        ld = log_density(t)
-        return 0.0 if ld is None else math.exp(min(ld, _PSI_CAP))
-
-    def f_phi(t):
-        ld = log_density(t)
-        if ld is None:
             return 0.0
-        return math.exp(min(ld, _PSI_CAP)) * (phi_end + w_end * (math.log(t) - x_end))
+        lt = math.log(t)
+        ld = psi_end + (n_eff + 2.0) * lt - lt + u_end * (lt - x_end) + math.log(v)
+        return math.exp(min(ld, _PSI_CAP)) * (phi_end + w_end * (lt - x_end))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         try:
-            tail_m = quad(f_mass, r_end, np.inf, limit=200)[0]
-            tail_q = quad(f_phi, r_end, np.inf, limit=200)[0]
+            tail = quad(f, r_end, np.inf, limit=200)[0]
         except Exception:
-            return math.inf, 0.0
-    if not math.isfinite(tail_m):
-        return math.inf, 0.0
-    return tail_m, tail_q
+            return math.inf
+    return tail if math.isfinite(tail) else math.inf
+
+
+def _tail_step(f_end, tail_m, total, tail_rel_tol):
+    """Step in log r to the radius where the tail fraction should meet the
+    tolerance, never less than one doubling.
+
+    The mass density per unit log r, f_end at r_max, decays locally like
+    e^{−λ(x − x_end)} with λ = f_end/tail_m, so the tail past r_max·e^Δ is
+    tail_m·e^{−λΔ}.  Plain doubling when that rate or the target is not
+    resolved (a tolerance of 0 leaves only the plateau stopper).
+    """
+    step = math.log(2.0)
+    if not (0.0 < tail_m < math.inf and total > 0.0 and tail_rel_tol > 0.0):
+        return step
+    lam = f_end / tail_m
+    if not (lam > 0.0 and math.isfinite(lam)):
+        return step
+    want = math.log(tail_m) - math.log(tail_rel_tol * total)
+    return max(step, want / lam)
 
 
 def integrate_ivp(V, n, s, controls=None, sigma=1):
@@ -281,15 +295,15 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     r_target = _R_MAX_INIT if auto else float(c.r_max)
     if r_target <= r0 * 2.0:
         r_target = r0 * 4.0
+    x_target = math.log(r_target)
+    x_cap = math.log(_R_MAX_CAP)
     sampler = _Sampler((s, sigma, a, n_eff), x0)
     x_cur = x0
     tail_m = math.inf
-    tail_q = 0.0
     converged = False
     plateau = False
 
     while True:
-        x_target = math.log(r_target)
         sol = solve_ivp(rhs, (x_cur, x_target), y, method="DOP853",
                         rtol=c.rel_tol, atol=c.abs_tol, dense_output=True,
                         events=[blow_up])
@@ -310,9 +324,8 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
         y = sol.y[:, -1]
         x_cur = x_target
 
-        psi_end, u_end, phi_end, w_end = y
-        tail_m, tail_q = _tail_integrals(V, n_eff, x_cur, psi_end, u_end,
-                                         phi_end, w_end)
+        psi_end, u_end = y[0], y[1]
+        tail_m = _tail_integral(V, n_eff, x_cur, psi_end, u_end)
         m_end = -sigma * u_end
         total = m_end + tail_m
         if total > 0.0 and tail_m / total < c.tail_rel_tol:
@@ -325,16 +338,20 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
                 plateau = True
         if converged or not auto:
             break
-        r_target *= 2.0
-        if r_target > _R_MAX_CAP:
+        if x_cur >= x_cap:
             raise MassDivergence(
                 f"mass did not converge at r_max = {_R_MAX_CAP:g} "
                 f"(tail fraction {tail_m / max(total, 1e-300):.3g})")
+        x_target = min(x_cur + _tail_step(abs(rhs(x_cur, y)[1]), tail_m,
+                                          total, c.tail_rel_tol), x_cap)
 
     psi_end, u_end, phi_end, w_end = y
     m_end = -sigma * u_end
-    if not math.isfinite(tail_m):
-        tail_m = 0.0
+    if math.isfinite(tail_m):
+        tail_q = _tail_integral(V, n_eff, x_cur, psi_end, u_end, phi_end,
+                                w_end)
+    else:
+        tail_m = tail_q = 0.0
     beta = sigma * (m_end + tail_m) / 2.0
     w_inf = w_end - sigma * tail_q
     beta_prime = -w_inf / 2.0
@@ -460,10 +477,13 @@ def _nonexistence(beta_target, history):
 def solve_for_beta(V, n, beta_target, bracket, controls=None):
     """Root-find s* with β(s*) = β_target; return the normalized solution.
 
-    Bracketed secant (Illinois variant) with bisection fallback; when the
-    sampled map is non-monotone the search degrades to pure bisection and the
-    result is flagged ``multiple_roots_possible`` (uniqueness needs
-    cV(r) + rV′(r) ≥ 0 for some c, which non-monotone maps may violate).
+    Each step is a Newton step s − (β − target)/β′ from the evaluated point
+    nearest the target, using the exact tail-corrected β′(s), when it lands
+    strictly inside the bracket; otherwise a bracketed secant (Illinois
+    variant) with bisection fallback.  When the sampled map is non-monotone
+    the search degrades to pure bisection and the result is flagged
+    ``multiple_roots_possible`` (uniqueness needs cV(r) + rV′(r) ≥ 0 for
+    some c, which non-monotone maps may violate).
     """
     c = controls or Controls()
     if beta_target == 0.0:
@@ -496,19 +516,23 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     g_hi = b_hi - beta_target
 
     if best is None:
-        # Illinois-damped regula falsi; plain bisection while an endpoint is
-        # divergent or the sampled map looks non-monotone
+        # Newton from the best point so far while it stays inside the
+        # bracket; else Illinois-damped regula falsi, or plain bisection
+        # while an endpoint is divergent.  Only bisection once the sampled
+        # map looks non-monotone.
         side = 0
         for _ in range(_MAX_ROOT_ITER):
             denom = g_hi - g_lo
-            secant_ok = (math.isfinite(g_lo) and math.isfinite(g_hi)
-                         and denom != 0.0
-                         and "multiple_roots_possible" not in flags)
-            if secant_ok:
+            monotone = "multiple_roots_possible" not in flags
+            s_new = None
+            if monotone:
+                s_new = _newton_step(cache.values(), beta_target, s_lo, s_hi)
+            if (s_new is None and monotone and math.isfinite(g_lo)
+                    and math.isfinite(g_hi) and denom != 0.0):
                 s_new = s_hi - g_hi * (s_hi - s_lo) / denom
                 if not (s_lo < s_new < s_hi):
-                    s_new = 0.5 * (s_lo + s_hi)
-            else:
+                    s_new = None
+            if s_new is None:
                 s_new = 0.5 * (s_lo + s_hi)
             b_new, res_new = shoot(s_new)
             history.append((s_new, b_new))
@@ -544,10 +568,26 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     out.tolerances = {"abs_tol": c.abs_tol, "rel_tol": c.rel_tol,
                       "root_tol": c.root_tol, "tail_rel_tol": c.tail_rel_tol}
     out.meta["beta_target"] = beta_target
-    out.meta["root_iterations"] = len(history) - n_bracket  # secant/bisection
+    # Newton, secant and bisection steps; the bracket search is not counted
+    out.meta["root_iterations"] = len(history) - n_bracket
     if flags:
         out.meta["flags"] = flags
     return out
+
+
+def _newton_step(evaluated, beta_target, s_lo, s_hi):
+    """Newton step s − (β − target)/β′ from the evaluated (β, result) pair
+    nearest the target; None when it leaves the open bracket (s_lo, s_hi)
+    or β′ there is zero or not finite.  β′ is exact through φ."""
+    results = [res for _, res in evaluated if res is not None]
+    if not results:
+        return None
+    res = min(results, key=lambda r: abs(r.beta_s - beta_target))
+    slope = res.beta_prime_s
+    if slope == 0.0 or not math.isfinite(slope):
+        return None
+    s_new = res.s - (res.beta_s - beta_target) / slope
+    return s_new if s_lo < s_new < s_hi else None
 
 
 def _non_monotone(history, jitter=1e-9):

@@ -75,10 +75,14 @@ def test_trajectory_monotone_and_phi_normalized():
 
 
 def _scalar_sample(sampler, x):
-    """Per-node reference: series below x0, else one OdeSolution call."""
+    """Per-node reference: series below x0, else one OdeSolution call.
+
+    The series uses numpy's exp, as the sampler does: math.exp differs from
+    it by an ulp at some points.
+    """
     s, sigma, a, n_eff = sampler.series
     if x < sampler.x0:
-        t = a * math.exp((n_eff + 2.0) * x)
+        t = a * np.exp((n_eff + 2.0) * x)
         return np.array([s - sigma * t, -sigma * (n_eff + 2.0) * t,
                          1.0 - sigma * t, -sigma * (n_eff + 2.0) * t])
     xi = min(x, sampler.bounds[-1])
@@ -87,8 +91,9 @@ def _scalar_sample(sampler, x):
 
 
 def test_vectorized_sampler_matches_scalar_evaluation():
-    # the bubble's r⁻⁴ tail needs several doublings of r_max
-    res = integrate_ivp(Constant(1.0), 0.0, 0.0)
+    # at this center value the bubble's tail fraction lands just above
+    # tail_rel_tol at the predicted radius, so a doubling follows the jump
+    res = integrate_ivp(Constant(1.0), 0.0, 2.0)
     sampler = res._sampler
     assert len(sampler.pieces) >= 3
     x0, bounds = sampler.x0, sampler.bounds
@@ -103,6 +108,29 @@ def test_vectorized_sampler_matches_scalar_evaluation():
     ref_r = np.array([_scalar_sample(sampler, xi) for xi in
                       np.log(np.maximum(r, 1e-300))]).T
     np.testing.assert_array_equal(np.array(res.sample(r)), ref_r)
+
+
+@pytest.mark.parametrize("V, s", [
+    (Constant(1.0), -2.0), (Constant(1.0), 0.0), (Constant(1.0), 2.0),
+    (Sphere(-1.0, 0.0), -1.0), (Sphere(-1.0, 0.0), 0.5),
+], ids=["bubble-2", "bubble0", "bubble2", "sphere-1", "sphere0.5"])
+def test_slow_tail_jumps_to_the_predicted_radius(V, s):
+    # regression: doubling r_max from 64 took 9–12 segments on these tails
+    res = integrate_ivp(V, 0.0, s)
+    assert res.converged
+    assert res.diagnostics["n_segments"] <= 3
+    assert res.r_max <= shooting._R_MAX_CAP
+    fraction = res.tail_mass / (2.0 * abs(res.beta_s))
+    assert (res.diagnostics["plateau_stop"]
+            or fraction < Controls().tail_rel_tol)
+
+
+def test_zero_tail_tolerance_doubles_to_the_cap():
+    # the jump's target log(tol·total) is undefined at tol = 0: the radius
+    # doubles, only the plateau stopper can end the loop, and it does not
+    # fire on the bubble's r⁻² tail before the cap
+    with pytest.raises(MassDivergence, match=r"r_max = 1e\+06"):
+        integrate_ivp(Constant(1.0), 0.0, 0.0, Controls(tail_rel_tol=0.0))
 
 
 def test_blowup_reports_mass_divergence():
@@ -227,6 +255,20 @@ def test_solve_for_beta_samples_one_trajectory(monkeypatch):
     sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))
     assert sol.meta["root_iterations"] > 1
     assert len(calls) == 1
+
+
+def test_solve_for_beta_takes_newton_steps(monkeypatch):
+    integrate = shooting.integrate_ivp
+    calls = []
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate_ivp", counting_integrate)
+    sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))
+    assert sol.beta == pytest.approx(1.0, abs=1e-8)
+    assert len(calls) < 7        # secant and bisection alone take 7
 
 
 def test_solve_for_beta_on_a_table_matches_the_weight_it_samples():
