@@ -53,7 +53,8 @@ _PSI_CAP = 700.0          # e^ψ overflow guard
 _PLATEAU_TOL = 1e-10      # |Δ(rψ′)| over a decade ⇒ mass converged
 _R_MAX_INIT = 64.0        # first truncation radius of an auto-r_max solve
 _R_MAX_CAP = 1e6          # auto-r_max extends up to this, then gives up
-_MAX_ROOT_ITER = 80       # Newton/secant/bisection steps after the bracket search
+_MAX_EXPAND = 10          # bracket expansions before a nonexistence verdict
+_MAX_ROOT_ITER = 80       # Newton/bisection steps after the bracket search
 
 
 class ShootingError(RuntimeError):
@@ -396,71 +397,43 @@ def mass_map(V, n, s_list, controls=None, sigma=1):
     return entries
 
 
-def _bracket_search(shoot, beta_target, s_lo, s_hi, root_tol, max_expand=10):
-    """Evaluate/expand the bracket until β(s)−target changes sign.
+def _beta(res, sigma):
+    """β of an evaluated trajectory; σ·inf when its mass diverged."""
+    return sigma * math.inf if res is None else res.beta_s
 
-    ``shoot(s)`` returns (β_eff, result-or-None); β_eff is ±inf when the
-    trajectory's mass diverges (the map runs off its end).  Returns
-    ((s_lo, b_lo, res_lo), (s_hi, b_hi, res_hi), history, flat_family).
 
-    flat_family is True when *both* initial endpoints already sit within
-    root_tol of the target — the constant-map case (a scaling family where
-    every s solves).  A single endpoint inside tolerance is NOT accepted:
-    maps that saturate asymptotically toward the target drift inside any
-    tolerance eventually, and only a genuine sign change distinguishes a
-    crossing from an asymptote.  Raises NonexistenceError when expansion
-    saturates without a sign change.
+def _bracket_search(shoot, evaluated, beta_target, s_lo, g_lo, s_hi, g_hi):
+    """Expand [s_lo, s_hi] until g = β − target changes sign; return the
+    ends as (s_lo, g_lo, s_hi).
+
+    ``shoot(s)`` evaluates g(s) into ``evaluated``; g is ±inf where the mass
+    diverges (the map runs off its end).  Raises NonexistenceError when every
+    trajectory diverges, when an expansion moves β by less than 1e-9 (the map
+    saturated short of the target), or after ``_MAX_EXPAND`` expansions.
     """
-    if not (s_lo < s_hi):
-        raise ValueError("bracket must satisfy s_lo < s_hi")
-    history = []
-
-    def g(s):
-        beta_eff, res = shoot(s)
-        history.append((s, beta_eff))
-        return beta_eff, res
-
-    b_lo, res_lo = g(s_lo)
-    b_hi, res_hi = g(s_hi)
-    if (abs(b_lo - beta_target) < root_tol
-            and abs(b_hi - beta_target) < root_tol):
-        return (s_lo, b_lo, res_lo), (s_hi, b_hi, res_hi), history, True
-    for attempt in range(max_expand + 1):
-        g_lo = b_lo - beta_target
-        g_hi = b_hi - beta_target
-        if g_lo == 0.0 or g_hi == 0.0:
-            break
-        if g_lo * g_hi < 0.0:
-            break
-        if attempt == max_expand:
-            _nonexistence(beta_target, history)
+    for attempt in range(_MAX_EXPAND + 1):
+        # a zero end is tested on its own: 0·inf is NaN
+        if g_lo == 0.0 or g_hi == 0.0 or g_lo * g_hi < 0.0:
+            return s_lo, g_lo, s_hi
+        if (attempt == _MAX_EXPAND
+                or all(res is None for res in evaluated.values())):
+            _nonexistence(beta_target, evaluated)
+        # both ends miss on one side: grow s_hi when β rises toward the
+        # target (increasing below it, or decreasing above it), else s_lo
         width = s_hi - s_lo
-        # expand the side that moves β toward the target; detect saturation
-        finite = [b for _, b in history if math.isfinite(b)]
-        if not finite:
-            _nonexistence(beta_target, history)
-        increasing = b_hi >= b_lo
-        target_above = beta_target > max(g_lo + beta_target, g_hi + beta_target)
-        grow_hi = (increasing == target_above)
-        if grow_hi:
-            s_new = s_hi + width
-            b_new, res_new = g(s_new)
-            moved = abs(b_new - b_hi) if math.isfinite(b_new - b_hi) else math.inf
-            s_hi, b_hi, res_hi = s_new, b_new, res_new
+        if (g_hi >= g_lo) == (g_lo < 0.0):
+            g_old, s_hi = g_hi, s_hi + width
+            g_new = g_hi = shoot(s_hi)
         else:
-            s_new = s_lo - width
-            b_new, res_new = g(s_new)
-            moved = abs(b_new - b_lo) if math.isfinite(b_new - b_lo) else math.inf
-            s_lo, b_lo, res_lo = s_new, b_new, res_new
-        if moved < 1e-9 * (1.0 + abs(beta_target)):
-            _nonexistence(beta_target, history)   # map saturated short of target
-    return (s_lo, b_lo, res_lo), (s_hi, b_hi, res_hi), history, False
+            g_old, s_lo = g_lo, s_lo - width
+            g_new = g_lo = shoot(s_lo)
+        if abs(g_new - g_old) < 1e-9 * (1.0 + abs(beta_target)):
+            _nonexistence(beta_target, evaluated)
 
 
-def _nonexistence(beta_target, history):
-    finite = [b for _, b in history if math.isfinite(b)]
-    s_vals = [s for s, _ in history]
-    s_range = (min(s_vals), max(s_vals))
+def _nonexistence(beta_target, evaluated):
+    finite = [res.beta_s for res in evaluated.values() if res is not None]
+    s_range = (min(evaluated), max(evaluated))
     where = f"s in [{s_range[0]:g}, {s_range[1]:g}]"
     if not finite:
         raise NonexistenceError(
@@ -477,112 +450,95 @@ def _nonexistence(beta_target, history):
 def solve_for_beta(V, n, beta_target, bracket, controls=None):
     """Root-find s* with β(s*) = β_target; return the normalized solution.
 
-    Each step is a Newton step s − (β − target)/β′ from the evaluated point
-    nearest the target, using the exact tail-corrected β′(s), when it lands
-    strictly inside the bracket; otherwise a bracketed secant (Illinois
-    variant) with bisection fallback.  When the sampled map is non-monotone
-    the search degrades to pure bisection and the result is flagged
-    ``multiple_roots_possible`` (uniqueness needs cV(r) + rV′(r) ≥ 0 for
-    some c, which non-monotone maps may violate).
+    When both bracket ends already lie within ``root_tol`` of the target the
+    map is a flat family and the upper end is returned; one end alone is
+    never accepted, since a map that saturates toward the target drifts
+    inside any tolerance.  Otherwise the bracket is expanded to a sign
+    change, and each step is a Newton step s − (β − target)/β′ from the
+    evaluated point nearest the target, using the exact tail-corrected
+    β′(s), when it lands strictly inside the bracket, and bisection
+    otherwise (bracketed Newton, ``rtsafe`` in *Numerical Recipes* §9.4).
+    Once the evaluated map is non-monotone only bisection runs, and the
+    result is flagged ``multiple_roots_possible``.
     """
     c = controls or Controls()
     if beta_target == 0.0:
         raise ValueError("beta_target must be nonzero")
+    s_lo, s_hi = float(bracket[0]), float(bracket[1])
+    if not s_lo < s_hi:
+        raise ValueError("bracket must satisfy s_lo < s_hi")
     sigma = 1 if beta_target > 0 else -1
-    cache = {}
+    evaluated = {}      # s → ShootResult, or None where the mass diverged
 
     def shoot(s):
-        """(β_eff, result); a diverging trajectory maps to β_eff = σ·inf."""
-        if s not in cache:
+        """g(s) = β(s) − target; each s is integrated once."""
+        if s not in evaluated:
             try:
-                res = integrate_ivp(V, n, s, c, sigma)
-                cache[s] = (res.beta_s, res)
+                evaluated[s] = integrate_ivp(V, n, s, c, sigma)
             except MassDivergence:
-                cache[s] = (sigma * math.inf, None)
-        return cache[s]
+                evaluated[s] = None
+        return _beta(evaluated[s], sigma) - beta_target
 
-    (s_lo, b_lo, res_lo), (s_hi, b_hi, res_hi), history, flat_family = \
-        _bracket_search(shoot, beta_target, float(bracket[0]),
-                        float(bracket[1]), c.root_tol)
-    n_bracket = len(history)
+    g_lo, g_hi = shoot(s_lo), shoot(s_hi)
+    flat = abs(g_lo) < c.root_tol and abs(g_hi) < c.root_tol
+    if not flat:
+        s_lo, g_lo, s_hi = _bracket_search(shoot, evaluated, beta_target,
+                                           s_lo, g_lo, s_hi, g_hi)
+    n_bracket = len(evaluated)
+    s_star = s_hi if flat else _root_search(shoot, evaluated, sigma,
+                                            beta_target, c.root_tol,
+                                            s_lo, g_lo, s_hi)
 
-    flags = []
-    best = None
-    if flat_family:
-        for s, b, res in ((s_lo, b_lo, res_lo), (s_hi, b_hi, res_hi)):
-            if res is not None and abs(b - beta_target) < c.root_tol:
-                best = (s, res)
-    g_lo = b_lo - beta_target
-    g_hi = b_hi - beta_target
-
-    if best is None:
-        # Newton from the best point so far while it stays inside the
-        # bracket; else Illinois-damped regula falsi, or plain bisection
-        # while an endpoint is divergent.  Only bisection once the sampled
-        # map looks non-monotone.
-        side = 0
-        for _ in range(_MAX_ROOT_ITER):
-            denom = g_hi - g_lo
-            monotone = "multiple_roots_possible" not in flags
-            s_new = None
-            if monotone:
-                s_new = _newton_step(cache.values(), beta_target, s_lo, s_hi)
-            if (s_new is None and monotone and math.isfinite(g_lo)
-                    and math.isfinite(g_hi) and denom != 0.0):
-                s_new = s_hi - g_hi * (s_hi - s_lo) / denom
-                if not (s_lo < s_new < s_hi):
-                    s_new = None
-            if s_new is None:
-                s_new = 0.5 * (s_lo + s_hi)
-            b_new, res_new = shoot(s_new)
-            history.append((s_new, b_new))
-            g_new = b_new - beta_target
-            if res_new is not None and abs(g_new) < c.root_tol:
-                best = (s_new, res_new)
-                break
-            if g_new * g_lo < 0.0:
-                s_hi, g_hi = s_new, g_new
-                if side == -1 and math.isfinite(g_lo):
-                    g_lo *= 0.5
-                side = -1
-            else:
-                s_lo, g_lo = s_new, g_new
-                if side == 1 and math.isfinite(g_hi):
-                    g_hi *= 0.5
-                side = 1
-            if _non_monotone(history):
-                if "multiple_roots_possible" not in flags:
-                    flags.append("multiple_roots_possible")
-        if best is None:
-            raise ShootingError(
-                f"beta root did not converge in {_MAX_ROOT_ITER} iterations "
-                f"(bracket [{s_lo:g}, {s_hi:g}])")
-    if _non_monotone(history) and "multiple_roots_possible" not in flags:
-        flags.append("multiple_roots_possible")
-
-    s_star, res = best
     # the stored β is the realized map value β(s*); it differs from the
     # requested target by less than root_tol and keeps every column
     # self-consistent
-    out = res.to_normalized()
+    out = evaluated[s_star].to_normalized()
     out.tolerances = {"abs_tol": c.abs_tol, "rel_tol": c.rel_tol,
                       "root_tol": c.root_tol, "tail_rel_tol": c.tail_rel_tol}
     out.meta["beta_target"] = beta_target
-    # Newton, secant and bisection steps; the bracket search is not counted
-    out.meta["root_iterations"] = len(history) - n_bracket
-    if flags:
-        out.meta["flags"] = flags
+    # trajectories after the bracket search: Newton and bisection steps
+    out.meta["root_iterations"] = len(evaluated) - n_bracket
+    if _non_monotone(evaluated):
+        out.meta["flags"] = ["multiple_roots_possible"]
     return out
 
 
+def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
+                 s_lo, g_lo, s_hi):
+    """s* with |β(s*) − target| < root_tol inside a sign-change bracket:
+    Newton steps while the map is monotone and they land inside, else
+    bisection, until the bracket ends are adjacent doubles."""
+    for _ in range(_MAX_ROOT_ITER):
+        s_new = None
+        if not _non_monotone(evaluated):
+            s_new = _newton_step(evaluated, beta_target, s_lo, s_hi)
+        if s_new is None:
+            s_new = 0.5 * (s_lo + s_hi)
+            if s_new in (s_lo, s_hi):
+                b_lo, b_hi = (_beta(evaluated[s], sigma) for s in (s_lo, s_hi))
+                raise ShootingError(
+                    f"beta root cannot be resolved in double precision: the "
+                    f"bracket ends s = {s_lo!r} and {s_hi!r} are adjacent "
+                    f"doubles, with beta = {b_lo:.12g} and {b_hi:.12g} "
+                    f"there; target {beta_target:.12g}")
+        g_new = shoot(s_new)
+        if abs(g_new) < root_tol:
+            return s_new
+        if g_new * g_lo < 0.0:
+            s_hi = s_new
+        else:
+            s_lo, g_lo = s_new, g_new
+    raise ShootingError(
+        f"beta root did not converge in {_MAX_ROOT_ITER} iterations "
+        f"(bracket [{s_lo:g}, {s_hi:g}])")
+
+
 def _newton_step(evaluated, beta_target, s_lo, s_hi):
-    """Newton step s − (β − target)/β′ from the evaluated (β, result) pair
-    nearest the target; None when it leaves the open bracket (s_lo, s_hi)
-    or β′ there is zero or not finite.  β′ is exact through φ."""
-    results = [res for _, res in evaluated if res is not None]
-    if not results:
-        return None
-    res = min(results, key=lambda r: abs(r.beta_s - beta_target))
+    """Newton step s − (β − target)/β′ from the evaluated trajectory nearest
+    the target; None when it leaves the open bracket (s_lo, s_hi) or β′
+    there is zero or not finite.  β′ is exact through φ."""
+    res = min((res for res in evaluated.values() if res is not None),
+              key=lambda r: abs(r.beta_s - beta_target))
     slope = res.beta_prime_s
     if slope == 0.0 or not math.isfinite(slope):
         return None
@@ -590,10 +546,10 @@ def _newton_step(evaluated, beta_target, s_lo, s_hi):
     return s_new if s_lo < s_new < s_hi else None
 
 
-def _non_monotone(history, jitter=1e-9):
-    pts = sorted((s, b) for s, b in history if math.isfinite(b))
-    betas = [b for _, b in pts]
+def _non_monotone(evaluated, jitter=1e-9):
+    """β over the evaluated s, in order of s, both rises and falls."""
+    betas = [evaluated[s].beta_s for s in sorted(evaluated)
+             if evaluated[s] is not None]
     up = any(b2 > b1 + jitter for b1, b2 in zip(betas, betas[1:]))
     down = any(b2 < b1 - jitter for b1, b2 in zip(betas, betas[1:]))
     return up and down
-

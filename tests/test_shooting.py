@@ -9,6 +9,7 @@ truth; the adaptive backend must land on it.
 """
 
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -268,7 +269,7 @@ def test_solve_for_beta_takes_newton_steps(monkeypatch):
     monkeypatch.setattr(shooting, "integrate_ivp", counting_integrate)
     sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))
     assert sol.beta == pytest.approx(1.0, abs=1e-8)
-    assert len(calls) < 7        # secant and bisection alone take 7
+    assert len(calls) < 7        # bisection and a secant alone took 7
 
 
 def test_solve_for_beta_on_a_table_matches_the_weight_it_samples():
@@ -284,9 +285,52 @@ def test_solve_for_beta_on_a_table_matches_the_weight_it_samples():
 
 def test_root_iterations_count_only_root_steps():
     # r²·const at β = n + 2 is a scaling family: both bracket ends already
-    # solve, so no secant or bisection step runs
+    # solve, so no Newton or bisection step runs
     sol = solve_for_beta(Constant(1.0), 2.0, 4.0, (-2.0, 2.0))
     assert sol.meta["root_iterations"] == 0
+
+
+def _count_trajectories(monkeypatch):
+    integrate = shooting.integrate_ivp
+    calls = []
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate_ivp", counting_integrate)
+    return calls
+
+
+@pytest.mark.parametrize("V, beta, most", [
+    (GAUSS, 1.9, 10),                    # 18 with a secant step
+    (Sphere(-1.0, 0.0), 0.6, 5),         # 7 with a secant step
+], ids=["gauss1.9", "sphere-1"])
+def test_newton_or_bisection_steps_only(monkeypatch, V, beta, most):
+    calls = _count_trajectories(monkeypatch)
+    sol = solve_for_beta(V, 0.0, beta, (-4.0, 4.0))
+    assert sol.beta == pytest.approx(beta, abs=1e-8)
+    assert len(calls) <= most
+
+
+def test_bracket_of_adjacent_doubles_stops_at_once(monkeypatch):
+    # near the blow-up centre value log 4, β′ ≈ 6e8, so one ulp in s moves β
+    # by more than root_tol: bisection cannot split the last bracket, and
+    # must say so at once instead of spinning through its iterations
+    calls = _count_trajectories(monkeypatch)
+    with pytest.raises(shooting.ShootingError, match="double precision") \
+            as excinfo:
+        solve_for_beta(GAUSS, 0.0, -100.0, (-4.0, 4.0))
+    assert not isinstance(excinfo.value, NonexistenceError)
+    assert len(calls) <= 40
+    message = str(excinfo.value)
+    numbers = set(re.findall(r"[-+.0-9e]+", message))
+    s_lo, s_hi = sorted(s for s in {args[2] for args in calls}
+                        if repr(s) in numbers)
+    assert abs(s_lo - math.log(4.0)) < 1e-6
+    assert math.nextafter(s_lo, math.inf) == s_hi
+    assert "-99.99999971" in message and "-100.00000017" in message
+    assert "target -100" in message
 
 
 def test_solve_for_beta_zero_target_rejected():
