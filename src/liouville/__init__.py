@@ -21,7 +21,8 @@ from .potentials import (Constant, LogSingular, Potential, PowerGauss,
                          Sphere, Tabulated, alpha_of_v, check_conditions,
                          load_tabulated, parse_potential)
 from .shooting import (Controls, MassDivergence, NonexistenceError,
-                       ShootingError, integrate_ivp, mass_map, solve_for_beta)
+                       PrecisionLimitError, ShootingError, integrate_ivp,
+                       mass_map, solve_for_beta)
 from .solution import NormalizedSolution
 from .variational import (EnergyUnboundedError, Gauge, MinimizeResult,
                           build_gauge, energy, minimize, to_solution,
@@ -41,8 +42,8 @@ __all__ = [
     "Constant", "LogSingular", "Potential", "PowerGauss", "Sphere",
     "Tabulated", "alpha_of_v", "check_conditions", "load_tabulated",
     "parse_potential",
-    "Controls", "MassDivergence", "NonexistenceError", "ShootingError",
-    "integrate_ivp", "mass_map", "solve_for_beta",
+    "Controls", "MassDivergence", "NonexistenceError", "PrecisionLimitError",
+    "ShootingError", "integrate_ivp", "mass_map", "solve_for_beta",
     "NormalizedSolution",
     "EnergyUnboundedError", "Gauge", "MinimizeResult",
     "build_gauge", "energy", "minimize", "to_solution", "variational_solve",

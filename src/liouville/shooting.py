@@ -29,6 +29,15 @@ model ψ(t) ≈ ψ(r_max) + u(r_max)·log(t/r_max), leaving an O(tail²) error i
 truncation radius: its mass density per unit log r decays locally like
 e^{−λ log r}, so the radius where the tail fraction meets the tolerance
 follows in closed form (at least one doubling, at most ``_R_MAX_CAP``).
+
+A sweep over many centre values (``mass_map``) is integrated as one DOP853
+system whose state is stored component-major, (ψ₁…ψ_K, u…, φ…, w…): every
+member shares x and Ṽ(eˣ), so scipy's per-step interpreter cost is paid once
+per sweep instead of once per trajectory, while the error norm is the
+largest per-member norm, so each member meets the local tolerance it would
+meet alone (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.10).
+Members leave the batch when their own tail test passes or their mass
+blows up; the rest go on together.
 """
 
 import math
@@ -37,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
+from scipy.integrate import DOP853, IntegrationWarning, quad, solve_ivp
 
 from .grids import make_grid
 from .potentials import LogSingular
@@ -45,7 +54,8 @@ from .solution import NormalizedSolution
 
 __all__ = [
     "Controls", "ShootResult", "MassMapEntry", "ShootingError",
-    "NonexistenceError", "integrate_ivp", "mass_map", "solve_for_beta",
+    "NonexistenceError", "PrecisionLimitError", "integrate_ivp", "mass_map",
+    "solve_for_beta",
 ]
 
 _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
@@ -69,6 +79,19 @@ class NonexistenceError(ShootingError):
     """Target coupling unreachable by the mass map (likely nonexistence)."""
 
     def __init__(self, message, beta_range=None, s_range=None):
+        super().__init__(message)
+        self.beta_range = beta_range
+        self.s_range = s_range
+
+
+class PrecisionLimitError(ShootingError):
+    """The β root lies between two adjacent doubles in s: neither bracket
+    end meets ``root_tol`` and bisection cannot split the bracket.
+
+    ``beta_range`` holds the sorted β at the two ends, ``s_range`` the ends.
+    """
+
+    def __init__(self, message, beta_range, s_range):
         super().__init__(message)
         self.beta_range = beta_range
         self.s_range = s_range
@@ -168,11 +191,14 @@ class _Sampler:
         self.series = series          # (s, sigma, a, n_eff)
         self.x0 = x0
         self.bounds = []
-        self.pieces = []              # OdeSolution per segment
+        self.pieces = []              # dense output per segment
 
-    def add(self, x_hi, sol):
+    def add(self, x_hi, sol, member=0, size=1):
+        """Append a segment: rows ``member::size`` of the dense output of a
+        batch of ``size`` trajectories stored component-major."""
         self.bounds.append(x_hi)
-        self.pieces.append(sol)
+        self.pieces.append(sol if size == 1
+                           else lambda x: sol(x)[member::size])
 
     def __call__(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -246,11 +272,62 @@ def _tail_step(f_end, tail_m, total, tail_rel_tol):
     return max(step, want / lam)
 
 
-def integrate_ivp(V, n, s, controls=None, sigma=1):
-    """Integrate one raw trajectory and summarize its mass map entry.
+class _MaxNormDOP853(DOP853):
+    """DOP853 over a batch of K trajectories stored component-major, (4·K,).
 
-    Returns a ShootResult.  σ = +1 targets β > 0, σ = −1 targets β < 0;
-    β(s) and β′(s) carry the frozen-slope tail correction.
+    The error norm is the largest of the K per-member DOP853 norms, so every
+    member meets the local tolerance it would meet when integrated alone.
+    One member keeps scipy's own norm, bit for bit.
+    """
+
+    def _estimate_error_norm(self, K, h, scale):
+        size = self.n // 4
+        if size == 1:
+            return super()._estimate_error_norm(K, h, scale)
+        err5 = (np.dot(K.T, self.E5) / scale).reshape(4, size)
+        err3 = (np.dot(K.T, self.E3) / scale).reshape(4, size)
+        e5 = np.sum(err5 * err5, axis=0)
+        denom = e5 + 0.01 * np.sum(err3 * err3, axis=0)
+        norms = np.divide(e5, np.sqrt(4.0 * denom), out=np.zeros(size),
+                          where=denom > 0.0)
+        return abs(h) * float(norms.max())
+
+
+def _batch_rhs(vs, k, sigma, size):
+    """Right-hand side for ``size`` trajectories: the scalar ``math`` form
+    for one, one numpy pass (and one Ṽ(eˣ)) for all members otherwise."""
+    if size == 1:
+        def rhs(x, y):
+            F = sigma * math.exp(min(k * x + y[0], _PSI_CAP)) * vs(math.exp(x))
+            return (y[1], -F, y[3], -F * y[2])
+        return rhs
+
+    def rhs(x, y):
+        psi, u, phi, w = y.reshape(4, size)
+        F = (sigma * vs(math.exp(x))) * np.exp(np.minimum(k * x + psi,
+                                                          _PSI_CAP))
+        return np.concatenate((u, -F, w, -F * phi))
+    return rhs
+
+
+def _blow_up_event(size):
+    """Terminal event: the largest ψ of the batch reaches the overflow cap."""
+    def blow_up(x, y):
+        return y[:size].max() - _PSI_CAP
+    blow_up.terminal = True
+    blow_up.direction = 1.0
+    return blow_up
+
+
+def integrate_ivp(V, n, s, controls=None, sigma=1):
+    """Integrate raw trajectories and summarize their mass map entries.
+
+    With one centre value s, returns its ShootResult or raises.  With a
+    sequence of centre values, integrates them as one batched system and
+    returns a list with one ShootResult or ShootingError per value, in
+    input order; argument errors still raise.  σ = +1 targets β > 0,
+    σ = −1 targets β < 0; β(s) and β′(s) carry the frozen-slope tail
+    correction.
     """
     c = controls or Controls()
     if n < 0:
@@ -268,29 +345,42 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     n_eff = n + float(V.n_pow)
     if n_eff + 2.0 <= 0.0:
         raise ValueError("effective weight exponent must exceed −2")
-    if s > _PSI_CAP:
-        raise ShootingError("center value too large: e^ψ overflows at r = 0")
+    if np.ndim(s) > 0:
+        return _integrate(V, n, n_eff, [float(v) for v in s], c, sigma)
+    out = _integrate(V, n, n_eff, [s], c, sigma)[0]
+    if isinstance(out, ShootingError):
+        raise out
+    return out
 
+
+def _integrate(V, n, n_eff, s_list, c, sigma):
+    """One ShootResult or ShootingError per centre value, integrated as one
+    batch that starts at the members' smallest series radius."""
+    out = [None] * len(s_list)
     vs = V.smooth_scalar
+    k = n_eff + 2.0
     v0 = vs(0.0) if V.n_pow == 0 else vs(1e-30)
-    a = v0 * math.exp(s) / (n_eff + 2.0) ** 2
-    if a > 0.0:
-        r0 = min((_SERIES_TARGET / a) ** (1.0 / (n_eff + 2.0)), 0.1)
-    else:
-        r0 = 1e-6
+    active, coef = [], []           # members still integrating, series a
+    for i, s in enumerate(s_list):
+        if s > _PSI_CAP:
+            out[i] = ShootingError(
+                "center value too large: e^ψ overflows at r = 0")
+            continue
+        active.append(i)
+        coef.append(v0 * math.exp(s) / k ** 2)
+    if not active:
+        return out
+
+    r0 = min(min((_SERIES_TARGET / a) ** (1.0 / k), 0.1) if a > 0.0
+             else 1e-6 for a in coef)
     x0 = math.log(r0)
-    t0 = a * r0 ** (n_eff + 2.0)
-    y = np.array([s - sigma * t0, -sigma * (n_eff + 2.0) * t0,
-                  1.0 - sigma * t0, -sigma * (n_eff + 2.0) * t0])
-
-    def rhs(x, y):
-        F = sigma * math.exp(min((n_eff + 2.0) * x + y[0], _PSI_CAP)) * vs(math.exp(x))
-        return (y[1], -F, y[3], -F * y[2])
-
-    def blow_up(x, y):
-        return y[0] - _PSI_CAP
-    blow_up.terminal = True
-    blow_up.direction = 1.0
+    t0 = [a * r0 ** k for a in coef]
+    y = np.array([s_list[i] - sigma * t for i, t in zip(active, t0)]
+                 + [-sigma * k * t for t in t0]
+                 + [1.0 - sigma * t for t in t0]
+                 + [-sigma * k * t for t in t0])
+    samplers = {i: _Sampler((s_list[i], sigma, a, n_eff), x0)
+                for i, a in zip(active, coef)}
 
     auto = c.r_max is None
     r_target = _R_MAX_INIT if auto else float(c.r_max)
@@ -298,92 +388,116 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
         r_target = r0 * 4.0
     x_target = math.log(r_target)
     x_cap = math.log(_R_MAX_CAP)
-    sampler = _Sampler((s, sigma, a, n_eff), x0)
     x_cur = x0
-    tail_m = math.inf
-    converged = False
-    plateau = False
+    one = _batch_rhs(vs, k, sigma, 1)     # per-member density at a segment end
 
-    while True:
-        sol = solve_ivp(rhs, (x_cur, x_target), y, method="DOP853",
-                        rtol=c.rel_tol, atol=c.abs_tol, dense_output=True,
-                        events=[blow_up])
-        if sol.status == 1:
-            r_stop = math.exp(sol.t_events[0][0])
-            raise MassDivergence(
-                f"mass did not converge at r_max = {math.exp(x_target):g}: "
-                f"e^psi blows up near r = {r_stop:g}")
-        if sol.status != 0:
-            # a pole-type blow-up shrinks the step below machine spacing long
-            # before psi reaches the overflow event
-            if sol.t.size and sol.y[0, -1] > max(s, 0.0) + 10.0:
-                raise MassDivergence(
-                    f"mass did not converge at r_max = {math.exp(x_target):g}:"
-                    f" e^psi blows up near r = {math.exp(sol.t[-1]):g}")
-            raise ShootingError(f"integrator failure: {sol.message}")
-        sampler.add(x_target, sol.sol)
-        y = sol.y[:, -1]
-        x_cur = x_target
-
-        psi_end, u_end = y[0], y[1]
-        tail_m = _tail_integral(V, n_eff, x_cur, psi_end, u_end)
+    def result(i, y_end, tail_m, converged, plateau):
+        """ShootResult of member i, stopped at r_max = e^x_cur in state y_end."""
+        psi_end, u_end, phi_end, w_end = y_end
         m_end = -sigma * u_end
-        total = m_end + tail_m
-        if total > 0.0 and tail_m / total < c.tail_rel_tol:
-            converged = True
-        elif x_cur - x0 > math.log(10.0):
-            # plateau stopper: slope change over the last decade
-            u_back = sampler.at_log_r(np.array([x_cur - math.log(10.0)]))[1, 0]
-            if abs(u_end - u_back) < _PLATEAU_TOL:
-                converged = True
-                plateau = True
-        if converged or not auto:
-            break
-        if x_cur >= x_cap:
-            raise MassDivergence(
-                f"mass did not converge at r_max = {_R_MAX_CAP:g} "
-                f"(tail fraction {tail_m / max(total, 1e-300):.3g})")
-        x_target = min(x_cur + _tail_step(abs(rhs(x_cur, y)[1]), tail_m,
-                                          total, c.tail_rel_tol), x_cap)
+        if math.isfinite(tail_m):
+            tail_q = _tail_integral(V, n_eff, x_cur, psi_end, u_end, phi_end,
+                                    w_end)
+        else:
+            tail_m = tail_q = 0.0
+        beta = sigma * (m_end + tail_m) / 2.0
+        w_inf = w_end - sigma * tail_q
+        beta_prime = -w_inf / 2.0
+        return ShootResult(
+            s=float(s_list[i]), n=float(n), sigma=sigma, beta_s=float(beta),
+            beta_prime_s=float(beta_prime), r_max=math.exp(x_cur),
+            tail_mass=float(tail_m), converged=converged, potential=V,
+            n_sample=c.n_sample, _sampler=samplers[i],
+            diagnostics={"plateau_stop": plateau,
+                         "n_segments": len(samplers[i].pieces),
+                         "r_series": r0})
 
-    psi_end, u_end, phi_end, w_end = y
-    m_end = -sigma * u_end
-    if math.isfinite(tail_m):
-        tail_q = _tail_integral(V, n_eff, x_cur, psi_end, u_end, phi_end,
-                                w_end)
-    else:
-        tail_m = tail_q = 0.0
-    beta = sigma * (m_end + tail_m) / 2.0
-    w_inf = w_end - sigma * tail_q
-    beta_prime = -w_inf / 2.0
-
-    return ShootResult(
-        s=float(s), n=float(n), sigma=sigma, beta_s=float(beta),
-        beta_prime_s=float(beta_prime), r_max=math.exp(x_cur),
-        tail_mass=float(tail_m), converged=converged, potential=V,
-        n_sample=c.n_sample, _sampler=sampler,
-        diagnostics={"plateau_stop": plateau,
-                     "n_segments": len(sampler.pieces), "r_series": r0})
+    while active:
+        size = len(active)
+        sol = solve_ivp(_batch_rhs(vs, k, sigma, size), (x_cur, x_target), y,
+                        method=_MaxNormDOP853, rtol=c.rel_tol, atol=c.abs_tol,
+                        dense_output=True, events=[_blow_up_event(size)])
+        y_end = sol.y[:, -1]
+        top = int(np.argmax(y_end[:size]))
+        # a pole-type blow-up shrinks the step below machine spacing long
+        # before psi reaches the overflow event
+        blown = sol.status == 1 or (
+            sol.status == -1
+            and y_end[top] > max(s_list[active[top]], 0.0) + 10.0)
+        if sol.status == -1 and not blown:
+            if size == 1:
+                out[active[0]] = ShootingError(
+                    f"integrator failure: {sol.message}")
+                return out
+            # a step collapse that names no member: integrate each one
+            # alone, so that every failure stays with its own entry
+            for i in active:
+                out[i] = _integrate(V, n, n_eff, [s_list[i]], c, sigma)[0]
+            return out
+        x_cur = float(sol.t[-1])
+        for m, i in enumerate(active):
+            samplers[i].add(x_cur, sol.sol, m, size)
+        if blown:
+            # the member with the largest psi leaves; the rest go on from here
+            out[active[top]] = MassDivergence(
+                f"mass did not converge at r_max = {math.exp(x_target):g}: "
+                f"e^psi blows up near r = {math.exp(x_cur):g}")
+            keep = [m for m in range(size) if m != top]
+        else:
+            keep, steps = [], []
+            for j, i in enumerate(active):
+                yj = y_end[j::size]
+                psi_end, u_end = yj[0], yj[1]
+                tail_m = _tail_integral(V, n_eff, x_cur, psi_end, u_end)
+                total = -sigma * u_end + tail_m
+                plateau = False
+                converged = bool(total > 0.0
+                                 and tail_m / total < c.tail_rel_tol)
+                if not converged and x_cur - x0 > math.log(10.0):
+                    # plateau stopper: slope change over the last decade
+                    u_back = samplers[i].at_log_r(
+                        np.array([x_cur - math.log(10.0)]))[1, 0]
+                    converged = plateau = bool(abs(u_end - u_back)
+                                               < _PLATEAU_TOL)
+                if converged or not auto:
+                    out[i] = result(i, yj, tail_m, converged, plateau)
+                elif x_cur >= x_cap:
+                    out[i] = MassDivergence(
+                        f"mass did not converge at r_max = {_R_MAX_CAP:g} "
+                        f"(tail fraction {tail_m / max(total, 1e-300):.3g})")
+                else:
+                    keep.append(j)
+                    steps.append(_tail_step(abs(one(x_cur, yj)[1]), tail_m,
+                                            total, c.tail_rel_tol))
+            if steps:
+                x_target = min(x_cur + max(steps), x_cap)
+        active = [active[j] for j in keep]
+        y = y_end.reshape(4, size)[:, keep].reshape(-1)
+    return out
 
 
 def mass_map(V, n, s_list, controls=None, sigma=1):
     """Evaluate (s, β(s), β′(s)) over s_list in input order; errors per entry.
 
-    Interior entries also record a centered-difference cross-check of β′.
+    The whole list is one batched ``integrate_ivp`` call.  A trajectory that
+    fails records its error on its own entry; an argument error is recorded
+    on every entry.  Interior entries also record a centered-difference
+    cross-check of β′.
     """
     s_list = list(s_list)
     if not s_list:
         raise ValueError("s_list must be non-empty")
-    entries = []
-    for s in s_list:
-        entry = MassMapEntry(s=float(s))
-        try:
-            res = integrate_ivp(V, n, s, controls, sigma)
+    entries = [MassMapEntry(s=float(s)) for s in s_list]
+    try:
+        results = integrate_ivp(V, n, s_list, controls, sigma)
+    except ValueError as exc:
+        results = [exc] * len(entries)
+    for entry, res in zip(entries, results):
+        if isinstance(res, Exception):
+            entry.error = str(res)
+        else:
             entry.beta = res.beta_s
             entry.beta_prime = res.beta_prime_s
-        except (ShootingError, ValueError) as exc:
-            entry.error = str(exc)
-        entries.append(entry)
 
     order = sorted(range(len(entries)), key=lambda i: entries[i].s)
     for j in range(1, len(order) - 1):
@@ -516,11 +630,13 @@ def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
             s_new = 0.5 * (s_lo + s_hi)
             if s_new in (s_lo, s_hi):
                 b_lo, b_hi = (_beta(evaluated[s], sigma) for s in (s_lo, s_hi))
-                raise ShootingError(
+                raise PrecisionLimitError(
                     f"beta root cannot be resolved in double precision: the "
                     f"bracket ends s = {s_lo!r} and {s_hi!r} are adjacent "
                     f"doubles, with beta = {b_lo:.12g} and {b_hi:.12g} "
-                    f"there; target {beta_target:.12g}")
+                    f"there; target {beta_target:.12g}",
+                    beta_range=tuple(sorted((b_lo, b_hi))),
+                    s_range=(s_lo, s_hi))
         g_new = shoot(s_new)
         if abs(g_new) < root_tol:
             return s_new

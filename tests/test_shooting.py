@@ -14,13 +14,15 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from liouville import shooting
 from liouville.oracles import conformal_bubble
 from liouville.potentials import (Constant, LogSingular, PowerGauss, Sphere,
                                   Tabulated)
 from liouville.shooting import (Controls, MassDivergence, NonexistenceError,
-                                integrate_ivp, mass_map, solve_for_beta)
+                                PrecisionLimitError, integrate_ivp, mass_map,
+                                solve_for_beta)
 from liouville.solution import NormalizedSolution
 from liouville.verify import pokhozhaev_P
 
@@ -201,10 +203,117 @@ def test_mass_map_keeps_order_and_per_entry_errors():
     assert all("did not converge" in e.error for e in entries if e.error)
     good = [e for e in entries if e.error is None]
     assert all(e.beta < 0.0 and math.isfinite(e.beta_prime) for e in good)
-    for e in good:
-        assert e.beta == integrate_ivp(GAUSS, 0.0, e.s, sigma=-1).beta_s
+    # mass_map is one batched integration; its accuracy against a tight
+    # solo reference is pinned by test_batched_sweep_is_accurate
+    batch = integrate_ivp(GAUSS, 0.0, s_list, sigma=-1)
+    for e, res in zip(entries, batch):
+        if e.error is None:
+            assert e.beta == res.beta_s
+        else:
+            assert isinstance(res, MassDivergence) and e.error == str(res)
     assert [math.isnan(e.beta_prime_fd) for e in entries] == \
         [True, True, True, True, False]
+
+
+# ---------------------------------------------------------------------------
+# batched trajectories
+
+
+def _norm_solver(size):
+    y0 = np.linspace(0.5, 1.5, 4 * size)
+    return shooting._MaxNormDOP853(lambda x, y: -y, 0.0, y0, 1.0)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_max_norm_is_the_largest_member_norm(size):
+    rng = np.random.default_rng(size)
+    solver = _norm_solver(size)
+    K = rng.standard_normal((solver.n_stages + 1, 4 * size))
+    scale = 1e-8 * (1.0 + rng.random(4 * size))
+    h = 0.37
+    members = [DOP853._estimate_error_norm(_norm_solver(1), K[:, j::size], h,
+                                           scale[j::size])
+               for j in range(size)]
+    got = solver._estimate_error_norm(K, h, scale)
+    assert got == pytest.approx(max(members), rel=1e-12)
+    if size == 1:
+        assert got == DOP853._estimate_error_norm(solver, K, h, scale)
+
+
+@pytest.mark.parametrize("sigma, s_list", [
+    (1, [-3.0, -1.0, 0.0, 1.0, 2.5, 4.0, 6.0, 8.0, 10.0]),
+    (-1, [-3.0, -2.0, -1.0, 0.0, 1.0]),
+], ids=["positive", "negative"])
+def test_batched_sweep_is_accurate(sigma, s_list):
+    # each member meets its own local tolerance: β and β′ stay as close to a
+    # tight solo reference as a default solo integration (up to 2.9e-9)
+    tight = Controls(abs_tol=1e-13, rel_tol=1e-12, tail_rel_tol=1e-11)
+    batch = integrate_ivp(GAUSS, 0.0, s_list, sigma=sigma)
+    assert [res.s for res in batch] == s_list
+    for s, res in zip(s_list, batch):
+        ref = integrate_ivp(GAUSS, 0.0, s, tight, sigma=sigma)
+        assert res.converged
+        assert abs(res.beta_s - ref.beta_s) < 1e-9
+        assert abs(res.beta_prime_s - ref.beta_prime_s) < 1e-9
+
+
+def test_batch_with_fixed_radius_stops_every_member_there():
+    batch = integrate_ivp(GAUSS, 0.0, [-2.0, 0.0, 3.0], Controls(r_max=32.0))
+    assert [res.r_max for res in batch] == [32.0] * 3
+
+
+@pytest.mark.parametrize("V, s", [(GAUSS, 0.5), (Constant(1.0), 2.0),
+                                  (Sphere(-1.0, 0.0), -1.0)],
+                         ids=["gauss", "bubble", "sphere"])
+def test_batch_of_one_is_the_solo_trajectory(V, s):
+    solo = integrate_ivp(V, 0.0, s)
+    (one,) = integrate_ivp(V, 0.0, [s])
+    assert (one.beta_s, one.beta_prime_s, one.r_max, one.tail_mass) == \
+        (solo.beta_s, solo.beta_prime_s, solo.r_max, solo.tail_mass)
+    assert one.diagnostics == solo.diagnostics
+    np.testing.assert_array_equal(one.psi, solo.psi)
+    np.testing.assert_array_equal(one.phi, solo.phi)
+
+
+def test_batch_member_keeps_its_own_rows():
+    s_list = [-1.0, 0.5, 2.0]
+    batch = integrate_ivp(GAUSS, 0.0, s_list)
+    r = np.geomspace(1e-3, 30.0, 50)
+    for res in batch:
+        solo = integrate_ivp(GAUSS, 0.0, res.s)
+        np.testing.assert_allclose(res.sample(r), solo.sample(r), atol=1e-8)
+
+
+def test_unattributed_step_collapse_integrates_each_member_alone(monkeypatch):
+    solve_ivp = shooting.solve_ivp
+    collapsed = []
+
+    def collapse_first_batch(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        if len(y0) > 4 and not collapsed:
+            # ψ decreases for σ = +1, so no member passes the pole test
+            collapsed.append(len(y0))
+            sol.status, sol.message = -1, "step size collapsed"
+        return sol
+
+    monkeypatch.setattr(shooting, "solve_ivp", collapse_first_batch)
+    s_list = [-1.0, 0.5, 2.0]
+    batch = integrate_ivp(GAUSS, 0.0, s_list)
+    monkeypatch.undo()
+    assert collapsed == [12]
+    for s, res in zip(s_list, batch):
+        assert res.beta_s == integrate_ivp(GAUSS, 0.0, s).beta_s
+
+
+def test_batch_reports_argument_errors_and_per_member_failures():
+    with pytest.raises(ValueError, match="no finite center value"):
+        integrate_ivp(LogSingular(alpha_cut=math.exp(-1.0)), 0.0, [0.0, 1.0])
+    out = integrate_ivp(GAUSS, 0.0, [0.0, 800.0, 2.0], sigma=-1)
+    assert out[0].beta_s < 0.0
+    assert type(out[1]) is shooting.ShootingError
+    assert "too large" in str(out[1])
+    assert isinstance(out[2], MassDivergence)
+    assert integrate_ivp(GAUSS, 0.0, []) == []
 
 
 def test_mass_map_keeps_going_past_bad_entries():
@@ -318,9 +427,10 @@ def test_bracket_of_adjacent_doubles_stops_at_once(monkeypatch):
     # by more than root_tol: bisection cannot split the last bracket, and
     # must say so at once instead of spinning through its iterations
     calls = _count_trajectories(monkeypatch)
-    with pytest.raises(shooting.ShootingError, match="double precision") \
+    with pytest.raises(PrecisionLimitError, match="double precision") \
             as excinfo:
         solve_for_beta(GAUSS, 0.0, -100.0, (-4.0, 4.0))
+    assert isinstance(excinfo.value, shooting.ShootingError)
     assert not isinstance(excinfo.value, NonexistenceError)
     assert len(calls) <= 40
     message = str(excinfo.value)
@@ -331,6 +441,10 @@ def test_bracket_of_adjacent_doubles_stops_at_once(monkeypatch):
     assert math.nextafter(s_lo, math.inf) == s_hi
     assert "-99.99999971" in message and "-100.00000017" in message
     assert "target -100" in message
+    assert excinfo.value.s_range == (s_lo, s_hi)
+    b_lo, b_hi = excinfo.value.beta_range
+    assert b_lo < -100.0 < b_hi
+    assert f"{b_lo:.12g}" in message and f"{b_hi:.12g}" in message
 
 
 def test_solve_for_beta_zero_target_rejected():
