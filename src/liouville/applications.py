@@ -2,14 +2,14 @@
 self-dual Chern–Simons–Schrödinger Landau levels, each reduced to a
 (β, n, V) mean-field problem for the core solver.
 
-Each preset knows its existence/uniqueness window as a pure inequality in
-its own parameters; `solve_app` evaluates the window, runs the shooting
-backend when the theory allows (or on the boundary, where it stays silent),
-and attaches a full identity report to every produced solution.
+Each preset's existence window is the `Potential.beta_window` of its weight
+at the preset's exponent n_eq.  `solve_app` evaluates the window, runs the
+shooting backend when the theory allows (or on the boundary, where it stays
+silent), and attaches a full identity report to every produced solution.
+Each verdict states the preset's inequality and then the window's edges:
 
-Window inequalities:
-
-  Onsager            n > β_eq − 2,  β_eq = −β_stat/(4π)
+  Onsager            n > β_eq − 2,  β_eq = −β_stat/(4π)  (γ > 0; for γ = 0,
+                     V ≡ 1, the window is empty and β_eq = n + 2 the edge)
   SphericalOnsager   n + 2 + 2l < β < n + 2
   CSS                2·n_int > β − 2
 
@@ -36,10 +36,30 @@ __all__ = [
 ]
 
 SCAN_CSV_HEADER = ["param", "verdict", "psi0", "mass_inner", "beta_eq"]
+# initial ψ(0) bracket of every preset solve (the CLI's default)
+_BRACKET = (-4.0, 4.0)
+# a scan row is flagged as concentrating when ψ(0) exceeds this and more
+# than this share of the mass lies inside r < 0.1
+_PSI0_CONCENTRATED = 20.0
+_INNER_MASS_CONCENTRATED = 0.99
+
+
+class _Preset:
+    """Window verdict shared by the presets: β_eq against the existence
+    window of the preset's weight at exponent n_eq."""
+
+    def window(self):
+        lo, hi = self.potential().beta_window(self.n_eq)
+        ineq = f"{self._inequality()}; window ({lo:g}, {hi:g})"
+        if lo < self.beta_eq < hi:
+            return "inside", ineq
+        if self.beta_eq in (lo, hi):
+            return "boundary", ineq
+        return "outside", ineq
 
 
 @dataclass(frozen=True)
-class Onsager:
+class Onsager(_Preset):
     """Mean-field point-vortex equation at statistical temperature β_stat."""
 
     n: float
@@ -58,21 +78,18 @@ class Onsager:
     def potential(self):
         return PowerGauss(n_pow=0.0, gamma=self.gamma, alpha_exp=self.alpha_exp)
 
+    def _inequality(self):
+        return (f"requires n > beta_eq - 2: n = {self.n_eq:g}, "
+                f"beta_eq - 2 = {self.beta_eq - 2.0:g}")
+
     def window(self):
-        lhs, rhs = self.n_eq, self.beta_eq - 2.0
-        ineq = (f"requires n > beta_eq - 2: n = {self.n_eq:g}, "
-                f"beta_eq - 2 = {rhs:g}")
         if self.beta_eq == 0.0:
             return "boundary", "beta_eq = 0: zero coupling, outside scope"
-        if lhs > rhs:
-            return "inside", ineq
-        if lhs == rhs:
-            return "boundary", ineq
-        return "outside", ineq
+        return super().window()
 
 
 @dataclass(frozen=True)
-class SphericalOnsager:
+class SphericalOnsager(_Preset):
     """Onsager flow on the sphere, stereographically projected."""
 
     n: float
@@ -91,19 +108,12 @@ class SphericalOnsager:
     def potential(self):
         return Sphere(l=self.l, gamma=self.gamma)
 
-    def window(self):
-        lo, hi = self.n + 2.0 + 2.0 * self.l, self.n + 2.0
-        ineq = (f"requires n + 2 + 2l < beta < n + 2: "
-                f"{lo:g} vs beta = {self.beta:g} vs {hi:g}")
-        if lo < self.beta < hi:
-            return "inside", ineq
-        if self.beta in (lo, hi):
-            return "boundary", ineq
-        return "outside", ineq
+    def _inequality(self):
+        return f"requires n + 2 + 2l < beta < n + 2: beta = {self.beta:g}"
 
 
 @dataclass(frozen=True)
-class CSS:
+class CSS(_Preset):
     """Self-dual Chern–Simons–Schrödinger vortex of winding n_int in field B."""
 
     n_int: int
@@ -127,14 +137,9 @@ class CSS:
     def potential(self):
         return PowerGauss(n_pow=0.0, gamma=0.5 * self.B, alpha_exp=2.0)
 
-    def window(self):
-        ineq = (f"requires 2*n_int > beta - 2: 2*{self.n_int} = "
+    def _inequality(self):
+        return (f"requires 2*n_int > beta - 2: 2*{self.n_int} = "
                 f"{self.n_eq:g} vs beta - 2 = {self.beta - 2.0:g}")
-        if self.n_eq > self.beta - 2.0:
-            return "inside", ineq
-        if self.n_eq == self.beta - 2.0:
-            return "boundary", ineq
-        return "outside", ineq
 
 
 def make_app(kind, **params):
@@ -160,7 +165,7 @@ class Verdict:
 _BOUNDARY_NOTE = "boundary — theory silent or sharp"
 
 
-def solve_app(spec, controls=None, bracket=(-4.0, 4.0)):
+def solve_app(spec, controls=None):
     """Evaluate the window, then solve by shooting when allowed.
 
     Returns (NormalizedSolution, IdentityReport) on success, otherwise
@@ -175,7 +180,7 @@ def solve_app(spec, controls=None, bracket=(-4.0, 4.0)):
                        detail="zero coupling: the problem degenerates"), None
     try:
         sol = solve_for_beta(spec.potential(), spec.n_eq, spec.beta_eq,
-                             bracket, controls)
+                             _BRACKET, controls)
     except NonexistenceError as err:
         detail = _BOUNDARY_NOTE if window == "boundary" else str(err)
         return Verdict("nonexistence", window, ineq, detail=detail), None
@@ -239,8 +244,7 @@ def _mass_within(sol, radius):
     return float(np.interp(math.log(radius), np.log(sol.r), sol.mass))
 
 
-def _scan_entry(n, gamma, alpha_exp, beta_stat, controls,
-                psi0_threshold, inner_mass_threshold):
+def _scan_entry(n, gamma, alpha_exp, beta_stat, controls):
     spec = Onsager(n, gamma, alpha_exp, beta_stat)
     row = ScanRow(param=float(beta_stat), verdict="", psi0=math.nan,
                   mass_inner=math.nan, beta_eq=spec.beta_eq)
@@ -259,15 +263,14 @@ def _scan_entry(n, gamma, alpha_exp, beta_stat, controls,
         return row
     row.psi0 = float(outcome.psi[0])
     row.mass_inner = _mass_within(outcome, 0.1)
-    row.concentration = (row.psi0 > psi0_threshold
-                         and row.mass_inner > inner_mass_threshold)
+    row.concentration = (row.psi0 > _PSI0_CONCENTRATED
+                         and row.mass_inner > _INNER_MASS_CONCENTRATED)
     row.verdict = "concentration" if row.concentration else "solved"
     return row
 
 
 def onsager_temperature_scan(n, gamma, alpha_exp, beta_stat_list,
-                             controls=None, psi0_threshold=20.0,
-                             inner_mass_threshold=0.99):
+                             controls=None):
     """Per-temperature solve/verdict table; rows keep the input order.
 
     The concentration flag is the numerical proxy for the vanishing-
@@ -277,8 +280,7 @@ def onsager_temperature_scan(n, gamma, alpha_exp, beta_stat_list,
     entries = list(beta_stat_list)
     if not entries:
         raise ValueError("beta_stat_list must not be empty")
-    return [_scan_entry(n, gamma, alpha_exp, b, controls, psi0_threshold,
-                        inner_mass_threshold) for b in entries]
+    return [_scan_entry(n, gamma, alpha_exp, b, controls) for b in entries]
 
 
 def scan_rows_to_csv(rows, path):

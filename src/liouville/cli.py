@@ -6,12 +6,11 @@ any other failure including usage mistakes.  Console numbers are rounded to
 6 significant digits; files always carry full double precision.
 
 Potentials are given as one-line descriptors, e.g. ``gauss:gamma=1,alpha=2``
-or ``table=weights.csv``; tolerance defaults may be collected in a flat
+or ``table=weights.csv``; `Controls` defaults may be collected in a flat
 ``key=value`` config file passed via ``--config`` (explicit flags win).
 """
 
 import csv
-import json
 import math
 from pathlib import Path
 
@@ -20,7 +19,6 @@ import numpy as np
 
 from .applications import (Verdict, make_app, onsager_temperature_scan,
                            scan_rows_to_csv, solve_app)
-from .config import RunConfig
 from .grids import make_grid
 from .oracles import conformal_bubble, sharp_regularity_example
 from .potentials import parse_potential
@@ -59,26 +57,47 @@ def _parse_pair(text, what):
     return lo, hi
 
 
-def _merged_options(config_path, **flags):
-    """Config-file defaults overlaid by explicitly given flags."""
-    merged = dict(RunConfig.load(config_path).values) if config_path else {}
-    for key in merged:
+def _controls(config_path, **flags):
+    """Controls from the config file's key=value lines, overlaid by the
+    explicitly given flags."""
+    c = Controls()
+    lines = Path(config_path).read_text().splitlines() if config_path else []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, raw = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"{config_path}:{lineno}: expected key=value")
         if key not in _CONTROL_KEYS:
             raise click.UsageError(
                 f"unknown key {key!r} in config file {config_path} "
                 f"(accepted: {', '.join(_CONTROL_KEYS)})")
+        try:
+            setattr(c, key, float(raw))
+        except ValueError:
+            raise ValueError(f"{config_path}:{lineno}: {key} wants a number, "
+                             f"got {raw.strip()!r}")
     for key, value in flags.items():
         if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _controls(opts):
-    c = Controls()
-    for key in _CONTROL_KEYS:
-        if opts.get(key) is not None:
-            setattr(c, key, float(opts[key]))
+            setattr(c, key, value)
     return c
+
+
+def _save(sol, out_path):
+    """Write the solution's .json and .csv files and say so."""
+    jpath = sol.save(out_path)
+    click.echo(f"wrote {jpath} + {jpath.with_suffix('.csv').name}")
+
+
+def _shoot(V, n_exp, beta, bracket, controls):
+    """solve_for_beta over the --bracket text; a nonexistence exits 2."""
+    try:
+        return solve_for_beta(V, n_exp, beta, _parse_pair(bracket, "bracket"),
+                              controls)
+    except NonexistenceError as err:
+        raise NonexistenceVerdict(str(err))
 
 
 def _potential_or_usage(spec):
@@ -147,25 +166,19 @@ def solve(method, beta, n_exp, potential_spec, bracket, radius, abs_tol,
           rel_tol, config_path, out_path):
     """Produce a unit-mass solution and its identity report."""
     V = _potential_or_usage(potential_spec)
-    opts = _merged_options(config_path, abs_tol=abs_tol, rel_tol=rel_tol,
-                           r_max=radius)
+    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol,
+                         r_max=radius)
     if method == "shooting":
-        try:
-            sol = solve_for_beta(V, n_exp, beta, _parse_pair(bracket,
-                                                             "bracket"),
-                                 _controls(opts))
-        except NonexistenceError as err:
-            raise NonexistenceVerdict(str(err))
+        sol = _shoot(V, n_exp, beta, bracket, controls)
     else:
         if beta <= 0:
             raise click.UsageError("the variational backend needs beta > 0")
         try:
-            sol, _ = variational_solve(V, n_exp, beta, R=opts.get("r_max"))
+            sol, _ = variational_solve(V, n_exp, beta, R=controls.r_max)
         except EnergyUnboundedError as err:
             raise NonexistenceVerdict(str(err))
     report = check_identities(sol)
-    jpath = sol.save(out_path)
-    click.echo(f"wrote {jpath} + {jpath.with_suffix('.csv').name}")
+    _save(sol, out_path)
     click.echo(_summary(sol, report))
 
 
@@ -182,16 +195,11 @@ def find(beta, n_exp, potential_spec, bracket, abs_tol, rel_tol, config_path,
          out_path):
     """Root-find ψ(0) for a target β; exit 2 if no solution can exist."""
     V = _potential_or_usage(potential_spec)
-    opts = _merged_options(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
-    try:
-        sol = solve_for_beta(V, n_exp, beta, _parse_pair(bracket, "bracket"),
-                             _controls(opts))
-    except NonexistenceError as err:
-        raise NonexistenceVerdict(str(err))
+    sol = _shoot(V, n_exp, beta, bracket,
+                 _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol))
     click.echo(_summary(sol, check_identities(sol)))
     if out_path:
-        jpath = sol.save(out_path)
-        click.echo(f"wrote {jpath} + {jpath.with_suffix('.csv').name}")
+        _save(sol, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,7 @@ def scan(n_exp, potential_spec, s_range, points, s_list, sigma, abs_tol,
          rel_tol, config_path, out_path):
     """Tabulate the mass map s ↦ (β(s), β′(s)) as CSV."""
     V = _potential_or_usage(potential_spec)
-    opts = _merged_options(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
+    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if s_list is not None:
         try:
             values = [float(v) for v in s_list.split(",") if v.strip()]
@@ -226,7 +234,7 @@ def scan(n_exp, potential_spec, s_range, points, s_list, sigma, abs_tol,
         if points < 2:
             raise click.UsageError("--points must be at least 2")
         values = np.linspace(lo, hi, points).tolist()
-    entries = mass_map(V, n_exp, values, _controls(opts), sigma=int(sigma))
+    entries = mass_map(V, n_exp, values, controls, sigma=int(sigma))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCAN_HEADER)
@@ -258,11 +266,8 @@ def verify(solution_file, potential_spec, out_path):
     """Recompute the defining identities of a stored solution."""
     sol = NormalizedSolution.load(solution_file)
     V = _potential_or_usage(potential_spec) if potential_spec else None
-    report = check_identities(sol, V)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    click.echo(text)
+    click.echo(check_identities(sol, V).to_json(out_path))
     if out_path:
-        Path(out_path).write_text(text + "\n")
         click.echo(f"wrote {out_path}")
 
 
@@ -285,8 +290,7 @@ def oracle(kind, lam, n_fam, alpha, radius, nodes, out_path):
         sol = conformal_bubble(n_fam, lam, grid)
     else:
         _, sol = sharp_regularity_example(alpha, grid)
-    jpath = sol.save(out_path)
-    click.echo(f"wrote {jpath} + {jpath.with_suffix('.csv').name}")
+    _save(sol, out_path)
     click.echo(_summary(sol))
 
 
@@ -317,8 +321,7 @@ def oracle(kind, lam, n_fam, alpha, radius, nodes, out_path):
 def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
         scan_list, abs_tol, rel_tol, config_path, out_path):
     """Solve a physics preset (or sweep Onsager temperatures)."""
-    opts = _merged_options(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
-    controls = _controls(opts)
+    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if scan_list is not None:
         if kind != "onsager":
             raise click.UsageError("--scan only applies to the onsager kind")
@@ -360,8 +363,7 @@ def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
     if "window_note" in outcome.meta:
         click.echo(outcome.meta["window_note"])
     if out_path:
-        jpath = outcome.save(out_path)
-        click.echo(f"wrote {jpath} + {jpath.with_suffix('.csv').name}")
+        _save(outcome, out_path)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ Two structural quantities drive existence theory and are exposed here:
     catalog).
 
 Both follow from two exponents that every weight states: V ~ r^n_pow at the
-origin and V ~ r^decay_power at infinity.  The log-singular borderline,
-which these powers do not describe, overrides the origin condition.  A
-sampled table is constant below its first node and follows its fitted
-power law past its last, so both powers describe it exactly.
+origin and V ~ r^decay_power at infinity.  `Potential.beta_window(n)` turns
+them into the existence window n + 2 + decay_power < β < n + 2 + n_pow,
+which the presets, the minimizer and the shooting refusals read.  The
+log-singular borderline, which these powers do not describe, overrides the
+origin condition.  A sampled table is constant below its first node and
+follows its fitted power law past its last, so both powers describe it
+exactly.
 """
 
 import csv
@@ -86,13 +89,19 @@ class Potential:
         """Ṽ(r) = V(r)/r^n_pow at one radius r ≥ 0, as a float."""
         return float(self.smooth_value(r))
 
+    def beta_window(self, n):
+        """(lo, hi): the couplings β for which both integrability conditions
+        on rⁿV hold for some δ > 0; rⁿV ~ r^{n+n_pow} at 0 sets hi and
+        rⁿV ~ r^{n+decay_power} at ∞ sets lo.  Empty when lo ≥ hi."""
+        return (n + 2.0) + self.decay_power, (n + 2.0) + self.n_pow
+
     def origin_integrable(self, beta, delta, n):
-        """2π ∫_0^1 rⁿV(r) r^{1−β−δ} dr < ∞, with rⁿV ~ r^{n+n_pow}."""
-        return beta + delta < n + self.n_pow + 2.0
+        """2π ∫_0^1 rⁿV(r) r^{1−β−δ} dr < ∞."""
+        return beta + delta < self.beta_window(n)[1]
 
     def infinity_integrable(self, beta, delta, n):
-        """2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞, with rⁿV ~ r^{n+decay_power}."""
-        return beta > n + self.decay_power + 2.0 + delta
+        """2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞."""
+        return beta > self.beta_window(n)[0] + delta
 
     def positivity_annulus(self):
         """(C, R1, R2) with V ≥ C > 0 on R1 < r < R2, or None; the base

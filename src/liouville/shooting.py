@@ -149,22 +149,18 @@ class ShootResult:
         """(ψ, rψ′, φ, rφ′) at arbitrary radii (series + dense interpolants)."""
         return self._sampler(r)
 
-    def to_normalized(self, grid=None):
+    def to_normalized(self):
         """Shift to ψ̃ = ψ − log(4π|β|) with unit total mass."""
         beta = self.beta_s
         if beta == 0.0:
             raise ShootingError("zero coupling cannot be mass-normalized")
-        if grid is None:
-            grid = self.grid
-            psi, u = self.psi, self.dpsi
-        else:
-            psi, u, _, _ = self.sample(grid.nodes)
+        psi, u = self.psi, self.dpsi
         shift = math.log(4.0 * math.pi * abs(beta))
         m_total = 2.0 * abs(beta)          # includes the tail correction
         mass = (-self.sigma * u) / m_total
         return NormalizedSolution(
             beta=beta, n=self.n, psi=psi - shift, dpsi=u, mass=mass,
-            grid=grid, potential=self.potential,
+            grid=self.grid, potential=self.potential,
             residuals={"tail_mass_fraction": self.tail_mass / m_total,
                        "beta_prime": self.beta_prime_s},
             meta={"s_star": self.s, "method": "shooting",
@@ -516,14 +512,16 @@ def _beta(res, sigma):
     return sigma * math.inf if res is None else res.beta_s
 
 
-def _bracket_search(shoot, evaluated, beta_target, s_lo, g_lo, s_hi, g_hi):
+def _bracket_search(shoot, evaluated, beta_target, window, s_lo, g_lo, s_hi,
+                    g_hi):
     """Expand [s_lo, s_hi] until g = β − target changes sign; return the
     ends as (s_lo, g_lo, s_hi).
 
     ``shoot(s)`` evaluates g(s) into ``evaluated``; g is ±inf where the mass
     diverges (the map runs off its end).  Raises NonexistenceError when every
     trajectory diverges, when an expansion moves β by less than 1e-9 (the map
-    saturated short of the target), or after ``_MAX_EXPAND`` expansions.
+    saturated short of the target), or after ``_MAX_EXPAND`` expansions; its
+    message names the weight's existence ``window`` (lo, hi).
     """
     for attempt in range(_MAX_EXPAND + 1):
         # a zero end is tested on its own: 0·inf is NaN
@@ -531,7 +529,7 @@ def _bracket_search(shoot, evaluated, beta_target, s_lo, g_lo, s_hi, g_hi):
             return s_lo, g_lo, s_hi
         if (attempt == _MAX_EXPAND
                 or all(res is None for res in evaluated.values())):
-            _nonexistence(beta_target, evaluated)
+            _nonexistence(beta_target, evaluated, window)
         # both ends miss on one side: grow s_hi when β rises toward the
         # target (increasing below it, or decreasing above it), else s_lo
         width = s_hi - s_lo
@@ -542,10 +540,10 @@ def _bracket_search(shoot, evaluated, beta_target, s_lo, g_lo, s_hi, g_hi):
             g_old, s_lo = g_lo, s_lo - width
             g_new = g_lo = shoot(s_lo)
         if abs(g_new - g_old) < 1e-9 * (1.0 + abs(beta_target)):
-            _nonexistence(beta_target, evaluated)
+            _nonexistence(beta_target, evaluated, window)
 
 
-def _nonexistence(beta_target, evaluated):
+def _nonexistence(beta_target, evaluated, window):
     finite = [res.beta_s for res in evaluated.values() if res is not None]
     s_range = (min(evaluated), max(evaluated))
     where = f"s in [{s_range[0]:g}, {s_range[1]:g}]"
@@ -556,7 +554,8 @@ def _nonexistence(beta_target, evaluated):
             s_range=s_range)
     raise NonexistenceError(
         f"target beta = {beta_target:g} outside bracket — likely "
-        f"nonexistence, cf. threshold n > beta - 2; scanned beta(s) range "
+        f"nonexistence, cf. existence window beta in ({window[0]:g}, "
+        f"{window[1]:g}); scanned beta(s) range "
         f"[{min(finite):.6g}, {max(finite):.6g}] over {where}",
         beta_range=(min(finite), max(finite)), s_range=s_range)
 
@@ -597,6 +596,7 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     flat = abs(g_lo) < c.root_tol and abs(g_hi) < c.root_tol
     if not flat:
         s_lo, g_lo, s_hi = _bracket_search(shoot, evaluated, beta_target,
+                                           V.beta_window(n),
                                            s_lo, g_lo, s_hi, g_hi)
     n_bracket = len(evaluated)
     s_star = s_hi if flat else _root_search(shoot, evaluated, sigma,

@@ -313,7 +313,7 @@ def _newton(disc, phi, trace, cap_floor):
     return phi, steps, grad_norm
 
 
-def minimize(gauge, V, R=None, init=None, n=0.0):
+def minimize(gauge, V, init=None, n=0.0):
     """Minimize the gauged energy over radial profiles with φ(R) = 0.
 
     Damped Newton runs first; when it stops short of ``_GRAD_TOL`` (step cap
@@ -322,14 +322,12 @@ def minimize(gauge, V, R=None, init=None, n=0.0):
     iterations.
     """
     grid = gauge.grid
-    if R is not None and not math.isclose(R, grid.r_max, rel_tol=1e-12):
-        raise ValueError("R must match the gauge grid's r_max")
     disc = _Discretization(gauge, V, n)
     if not np.any(disc.mu > 0.0):
         raise ValueError("outside admissible class: weighted mass is not positive")
 
     flags = []
-    gap = (n + float(V.n_pow) + 2.0) - gauge.beta
+    gap = V.beta_window(n)[1] - gauge.beta
     delta = min(1.0, gap / 2.0) if gap > 0 else None
     if delta is None or not check_conditions(V, gauge.beta, delta, n).all_pass:
         flags.append("existence_hypotheses_violated")

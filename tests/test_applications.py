@@ -68,6 +68,28 @@ def test_window_inequality_mentions_numbers():
     assert "2*0" in ineq and "beta - 2" in ineq
 
 
+@pytest.mark.parametrize("n", [0.0, 1.0, 2.5])
+def test_onsager_without_confinement_has_an_empty_window(n):
+    # γ = 0 makes V ≡ 1, whose solutions all have β = n + 2 (Chen & Li,
+    # Duke Math. J. 63, 1991; Prajapat & Tarantello, PRSE 131A, 2001)
+    edge = Onsager(n, 0.0, 2.0, -FOUR_PI * (n + 2.0))
+    assert edge.beta_eq == n + 2.0
+    verdict, ineq = edge.window()
+    assert verdict == "boundary"
+    assert f"window ({n + 2.0:g}, {n + 2.0:g})" in ineq
+
+
+@given(n=st.floats(0.0, 6.0), beta_stat=st.floats(-100.0, 100.0))
+@settings(max_examples=60, deadline=None)
+def test_onsager_without_confinement_is_outside_off_the_edge(n, beta_stat):
+    spec = Onsager(n, 0.0, 2.0, beta_stat)
+    verdict, _ = spec.window()
+    if spec.beta_eq == 0.0 or spec.beta_eq == n + 2.0:
+        assert verdict == "boundary"
+    else:
+        assert verdict == "outside"
+
+
 @given(n_int=st.integers(0, 5),
        beta=st.floats(-6.0, 8.0),
        B=st.floats(0.1, 100.0))
@@ -228,16 +250,6 @@ def test_scan_flags_concentration_under_strong_confinement():
     assert row.concentration
     assert row.psi0 > 20.0
     assert row.mass_inner > 0.99
-
-
-def test_scan_thresholds_are_tunable():
-    mild = [-FOUR_PI]
-    (default,) = onsager_temperature_scan(0.0, 1.0, 2.0, mild)
-    (loose,) = onsager_temperature_scan(0.0, 1.0, 2.0, mild,
-                                        psi0_threshold=-100.0,
-                                        inner_mass_threshold=0.0)
-    assert default.verdict == "solved" and not default.concentration
-    assert loose.verdict == "concentration" and loose.concentration
 
 
 def test_scan_empty_list_errors():

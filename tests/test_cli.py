@@ -50,7 +50,7 @@ def test_solve_variational_backend(tmp_path, capsys):
 def test_find_reports_nonexistence_with_exit_two(capsys):
     assert run("find", "--beta", 2.5, "--n", 0, "--potential", GAUSS) == 2
     err = capsys.readouterr().err
-    assert "threshold n > beta - 2" in err
+    assert "existence window beta in (-inf, 2)" in err
 
 
 def test_find_success_prints_summary(capsys):
@@ -177,6 +177,39 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert run("find", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 1
     assert "'root-tol'" in capsys.readouterr().err
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "commented.cfg"
+    cfg.write_text("# tolerances\n\n  abs_tol = 1e-11  \n# end\n")
+    assert run("find", "--beta", 1, "--potential", GAUSS,
+               "--config", cfg) == 0
+    assert "beta=1 " in capsys.readouterr().out
+
+
+def test_config_file_malformed_line_names_its_location(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("abs_tol=1e-11\nnot a pair\n")
+    assert run("find", "--beta", 1, "--potential", GAUSS,
+               "--config", cfg) == 1
+    assert "run.cfg:2" in capsys.readouterr().err
+
+
+def test_config_file_rejects_non_numeric_values(tmp_path, capsys):
+    cfg = tmp_path / "words.cfg"
+    cfg.write_text("rel_tol=tight\n")
+    assert run("find", "--beta", 1, "--potential", GAUSS,
+               "--config", cfg) == 1
+    assert "'tight'" in capsys.readouterr().err
+
+
+def test_onsager_without_confinement_is_nonexistence(capsys):
+    # --gamma 0 makes V ≡ 1, whose only coupling is β_eq = n + 2 = 2; at
+    # β_eq = 1 the window verdict alone exits 2
+    assert run("app", "onsager", "--gamma", 0, "--beta-stat",
+               -4 * math.pi) == 2
+    err = capsys.readouterr().err
+    assert "outside" in err and "window (2, 2)" in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -2,6 +2,7 @@
 type, and the traced benchmark's hooks and output."""
 
 import ast
+import importlib
 import json
 import shutil
 import subprocess
@@ -41,6 +42,17 @@ def test_weights_are_not_probed_by_quadrature():
     # every integrability verdict follows from the exponents a weight
     # states; a numerical probe of ∫ rⁿV r^k dr gave wrong verdicts
     assert "integrate" not in _imported_modules(PACKAGE / "potentials.py")
+
+
+@pytest.mark.parametrize("module", ["__init__"] + sorted(
+    path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"))
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition is gone breaks
+    # `from liouville import *` and misleads readers of the export list
+    name = "liouville" if module == "__init__" else f"liouville.{module}"
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []
 
 
 WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",

@@ -453,7 +453,9 @@ def test_solve_for_beta_zero_target_rejected():
 
 
 def test_unreachable_beta_is_nonexistence():
-    with pytest.raises(NonexistenceError, match="threshold n > beta - 2") \
+    # the message names the Gaussian's existence window, upper edge 2
+    with pytest.raises(NonexistenceError,
+                       match=r"existence window beta in \(-inf, 2\)") \
             as excinfo:
         solve_for_beta(GAUSS, 0.0, 2.5, (-3.0, 3.0))
     err = excinfo.value
@@ -478,6 +480,27 @@ def test_saturating_map_never_fakes_a_root():
     # target must be reported as nonexistence, not accepted as a solution
     with pytest.raises(NonexistenceError):
         solve_for_beta(GAUSS, 0.0, 2.0, (-3.0, 3.0))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the tail quad returns a negative "
+                          "tail, which passes the stop test")
+def test_constant_weight_deep_start_does_not_converge_to_a_wrong_beta():
+    # V ≡ 1, n = 0: every trajectory carries β = 2 (Chen & Li 1991).  At
+    # s = −13 the solver stops at r_max = 64 with β ≈ 3.1e-6 on a tail of
+    # about −4.6e-3, and flags the trajectory converged
+    res = integrate_ivp(Constant(1.0), 0.0, -13.0)
+    assert not res.converged or abs(res.beta_s - 2.0) < 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=PrecisionLimitError,
+                   reason="ROADMAP item 2: bad tails at deep starts fake a "
+                          "sign change of beta(s) - 1")
+def test_constant_weight_off_its_only_coupling_is_nonexistence():
+    # V ≡ 1, n = 0 has solutions only at β = 2, so β = 1 is a nonexistence;
+    # the wrong β of deep starts ends the bracket at adjacent doubles instead
+    with pytest.raises(NonexistenceError):
+        solve_for_beta(Constant(1.0), 0.0, 1.0, (-4.0, 4.0))
 
 
 def test_flat_family_is_accepted():

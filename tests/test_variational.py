@@ -177,13 +177,6 @@ def test_minimize_borderline_coupling_flagged_or_unbounded():
         assert res.flags  # hypotheses-violated and/or non-convergence marker
 
 
-def test_minimize_r_argument_must_match_grid():
-    g = make_grid(8.0, 512)
-    gz = build_gauge(1.0, g)
-    with pytest.raises(ValueError, match="r_max"):
-        minimize(gz, GAUSS, R=9.0)
-
-
 def test_minimize_init_shape_checked():
     g = make_grid(8.0, 512)
     gz = build_gauge(1.0, g)
