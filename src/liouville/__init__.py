@@ -13,7 +13,7 @@ from .applications import (CSS, Onsager, SphericalOnsager, Verdict,
                            css_scaling_check, make_app,
                            onsager_temperature_scan, scan_rows_to_csv,
                            solve_app)
-from .grids import Grid, integrate_radial, make_grid
+from .grids import Grid, make_grid
 from .oracles import (bubble_lambda_from_raw_center, bubble_raw_center,
                       conformal_bubble, sharp_regularity_example)
 from .potentials import (Constant, LogSingular, Potential, PowerGauss,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CSS", "Onsager", "SphericalOnsager", "Verdict", "css_scaling_check",
     "make_app", "onsager_temperature_scan", "scan_rows_to_csv", "solve_app",
-    "Grid", "integrate_radial", "make_grid",
+    "Grid", "make_grid",
     "bubble_lambda_from_raw_center", "bubble_raw_center", "conformal_bubble",
     "sharp_regularity_example",
     "Constant", "LogSingular", "Potential", "PowerGauss", "Sphere",

@@ -1,23 +1,18 @@
-"""Radial meshes and quadrature for integrals of the form 2π ∫ g(r) r dr.
+"""Log-graded radial grids.
 
-All planar integrals in this suite are rotationally symmetric, so they reduce
-to one-dimensional weighted integrals over [0, r_max].  Grids carry composite
-trapezoid weights on nodes spaced uniformly in log r; profiles sampled at the
-nodes integrate directly, without re-interpolation.
-
-The origin is special: the smallest node r0 is strictly positive (singular
-weights may not be evaluable at r = 0) and the cell [0, r0] is integrated with
-the analytic local model g(r) ≈ g(r0)·(r/r0)^k, where the caller supplies the
-local power k (k equals the weight exponent for weighted integrands):
-
-    ∫_0^{r0} g(r) r dr ≈ g(r0) · r0² / (k + 2).
+Every profile in this suite is radial and sampled on nodes spaced uniformly
+in log r over (0, r_max].  The smallest node r0 is strictly positive
+(singular weights may not be evaluable at r = 0), so each consumer treats
+the cell [0, r0] with its own local model.  A grid also carries composite
+trapezoid weights over [r0, r_max] for the callers that lump or integrate
+node samples.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "make_grid", "integrate_radial", "cumulative_radial"]
+__all__ = ["Grid", "make_grid"]
 
 #: smallest positive node of a log-graded grid, as a fraction of r_max
 LOG_FLOOR = 1e-8
@@ -30,9 +25,8 @@ MIN_NODES = 16
 class Grid:
     """A strictly increasing radial mesh 0 < r0 < ... < r_{N-1} = r_max.
 
-    ``weights`` are composite trapezoid weights applied to samples of the
-    product g(r)·r; they do not include the origin cell [0, r0], which is
-    handled analytically by :func:`integrate_radial`.
+    ``weights`` are composite trapezoid weights over [r0, r_max]; they do
+    not include the origin cell [0, r0].
     """
 
     nodes: np.ndarray
@@ -79,43 +73,3 @@ def make_grid(r_max, n_nodes):
     nodes[-1] = r_max  # guard against geomspace round-off at the endpoint
     return Grid(nodes=nodes, weights=_trapezoid_weights(nodes), r_max=float(r_max),
                 grading="log")
-
-
-def _samples(grid, g):
-    """Sample g on the grid nodes (g may be a callable or an array)."""
-    if callable(g):
-        vals = np.asarray(g(grid.nodes), dtype=float)
-        if vals.shape == ():  # scalar-returning callable
-            vals = np.full(grid.n_nodes, float(vals))
-    else:
-        vals = np.asarray(g, dtype=float)
-    if vals.shape != grid.nodes.shape:
-        raise ValueError(f"expected {grid.n_nodes} samples, got shape {vals.shape}")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise ValueError(
-            f"non-finite sample at node index {bad[0]} (r = {grid.nodes[bad[0]]:.6g})")
-    return vals
-
-
-def integrate_radial(grid, g, k=0.0):
-    """Approximate 2π ∫_0^{r_max} g(r) r dr from node samples of g.
-
-    ``k`` is the local power of g near the origin, used for the analytic
-    [0, r0] cell; k = 0 is correct for integrands finite at the origin.
-    """
-    vals = _samples(grid, g)
-    origin = vals[0] * grid.nodes[0] ** 2 / (k + 2.0)
-    return 2.0 * np.pi * (np.dot(grid.weights, vals * grid.nodes) + origin)
-
-
-def cumulative_radial(grid, g, k=0.0):
-    """Cumulative counterpart of integrate_radial: M_i = 2π ∫_0^{r_i} g r dr."""
-    vals = _samples(grid, g)
-    f = vals * grid.nodes
-    seg = 0.5 * np.diff(grid.nodes) * (f[:-1] + f[1:])
-    out = np.empty(grid.n_nodes)
-    out[0] = vals[0] * grid.nodes[0] ** 2 / (k + 2.0)
-    np.cumsum(seg, out=out[1:])
-    out[1:] += out[0]
-    return 2.0 * np.pi * out

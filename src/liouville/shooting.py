@@ -60,7 +60,6 @@ __all__ = [
 
 _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
 _PSI_CAP = 700.0          # e^ψ overflow guard
-_PLATEAU_TOL = 1e-10      # |Δ(rψ′)| over a decade ⇒ mass converged
 _R_MAX_INIT = 64.0        # first truncation radius of an auto-r_max solve
 _R_MAX_CAP = 1e6          # auto-r_max extends up to this, then gives up
 _MAX_EXPAND = 10          # bracket expansions before a nonexistence verdict
@@ -256,7 +255,7 @@ def _tail_step(f_end, tail_m, total, tail_rel_tol):
     The mass density per unit log r, f_end at r_max, decays locally like
     e^{−λ(x − x_end)} with λ = f_end/tail_m, so the tail past r_max·e^Δ is
     tail_m·e^{−λΔ}.  Plain doubling when that rate or the target is not
-    resolved (a tolerance of 0 leaves only the plateau stopper).
+    resolved; a tolerance of 0 cannot be met, so the radius doubles to the cap.
     """
     step = math.log(2.0)
     if not (0.0 < tail_m < math.inf and total > 0.0 and tail_rel_tol > 0.0):
@@ -387,7 +386,7 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
     x_cur = x0
     one = _batch_rhs(vs, k, sigma, 1)     # per-member density at a segment end
 
-    def result(i, y_end, tail_m, converged, plateau):
+    def result(i, y_end, tail_m, converged):
         """ShootResult of member i, stopped at r_max = e^x_cur in state y_end."""
         psi_end, u_end, phi_end, w_end = y_end
         m_end = -sigma * u_end
@@ -404,9 +403,7 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
             beta_prime_s=float(beta_prime), r_max=math.exp(x_cur),
             tail_mass=float(tail_m), converged=converged, potential=V,
             n_sample=c.n_sample, _sampler=samplers[i],
-            diagnostics={"plateau_stop": plateau,
-                         "n_segments": len(samplers[i].pieces),
-                         "r_series": r0})
+            diagnostics={"n_segments": len(samplers[i].pieces)})
 
     while active:
         size = len(active)
@@ -446,17 +443,11 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
                 psi_end, u_end = yj[0], yj[1]
                 tail_m = _tail_integral(V, n_eff, x_cur, psi_end, u_end)
                 total = -sigma * u_end + tail_m
-                plateau = False
-                converged = bool(total > 0.0
-                                 and tail_m / total < c.tail_rel_tol)
-                if not converged and x_cur - x0 > math.log(10.0):
-                    # plateau stopper: slope change over the last decade
-                    u_back = samplers[i].at_log_r(
-                        np.array([x_cur - math.log(10.0)]))[1, 0]
-                    converged = plateau = bool(abs(u_end - u_back)
-                                               < _PLATEAU_TOL)
+                # a zero weight has no mass and no tail: done at once
+                converged = bool(tail_m / total < c.tail_rel_tol if total > 0.0
+                                 else tail_m == total == 0.0)
                 if converged or not auto:
-                    out[i] = result(i, yj, tail_m, converged, plateau)
+                    out[i] = result(i, yj, tail_m, converged)
                 elif x_cur >= x_cap:
                     out[i] = MassDivergence(
                         f"mass did not converge at r_max = {_R_MAX_CAP:g} "
@@ -476,18 +467,15 @@ def mass_map(V, n, s_list, controls=None, sigma=1):
     """Evaluate (s, β(s), β′(s)) over s_list in input order; errors per entry.
 
     The whole list is one batched ``integrate_ivp`` call.  A trajectory that
-    fails records its error on its own entry; an argument error is recorded
-    on every entry.  Interior entries also record a centered-difference
-    cross-check of β′.
+    fails records its error on its own entry; an argument error (a negative
+    n, a weight that cannot be shot) raises.  Interior entries also record a
+    centered-difference cross-check of β′.
     """
     s_list = list(s_list)
     if not s_list:
         raise ValueError("s_list must be non-empty")
     entries = [MassMapEntry(s=float(s)) for s in s_list]
-    try:
-        results = integrate_ivp(V, n, s_list, controls, sigma)
-    except ValueError as exc:
-        results = [exc] * len(entries)
+    results = integrate_ivp(V, n, s_list, controls, sigma)
     for entry, res in zip(entries, results):
         if isinstance(res, Exception):
             entry.error = str(res)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import logsumexp
@@ -71,9 +71,7 @@ class Gauge:
     beta: float
     grid: Grid
     psi0: np.ndarray      # ψ₀ at the nodes
-    dpsi0: np.ndarray     # r ψ₀′ at the nodes
     f: np.ndarray         # −Δψ₀, supported in r < 1
-    f_total: float        # node quadrature of ∫f (must be −4πβ)
 
 
 @dataclass
@@ -93,7 +91,7 @@ class MinimizeResult:
 
 
 def build_gauge(beta, grid):
-    """Gauge profile ψ₀, its slope, and the source f = −Δψ₀ on the grid."""
+    """Gauge profile ψ₀ and its source f = −Δψ₀ on the grid nodes."""
     if beta <= 0:
         raise ValueError("gauge requires beta > 0")
     if not isinstance(grid, Grid):
@@ -102,24 +100,8 @@ def build_gauge(beta, grid):
     inner = r < 1.0
     psi0 = np.where(inner, beta * (2.0 * r * r - 0.5 * r ** 4 - 1.5),
                     2.0 * beta * np.log(np.maximum(r, 1e-300)))
-    dpsi0 = np.where(inner, beta * (4.0 * r * r - 2.0 * r ** 4), 2.0 * beta)
     f = np.where(inner, -8.0 * beta * (1.0 - r * r), 0.0)
-
-    # ∫f dx: analytic below the first node and on the partial cell touching
-    # the support edge r=1, Simpson across the sampled body
-    r0 = r[0]
-    head = 2.0 * math.pi * (-8.0 * beta) * (r0 ** 2 / 2.0 - r0 ** 4 / 4.0)
-    k = int(np.searchsorted(r, 1.0))
-    if k >= 3:
-        body = 2.0 * math.pi * simpson((f * r)[:k], x=r[:k])
-        a = r[k - 1]
-    else:
-        body = 0.0
-        a = r0
-    edge = -4.0 * math.pi * beta * (1.0 - a * a) ** 2  # ∫_a^1, closed form
-    f_total = head + body + edge
-    return Gauge(beta=float(beta), grid=grid, psi0=psi0, dpsi0=dpsi0, f=f,
-                 f_total=float(f_total))
+    return Gauge(beta=float(beta), grid=grid, psi0=psi0, f=f)
 
 
 class _Discretization:

@@ -30,7 +30,7 @@ The Pokhozhaev function P = u(u/2+β) + r^{n+2}V e^ψ of the raw profile
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson

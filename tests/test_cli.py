@@ -90,6 +90,11 @@ def test_scan_s_list_and_validation(tmp_path, capsys):
     assert run("scan", "--potential", GAUSS, "--points", 1,
                "--out", out) == 1
     assert "at least 2" in capsys.readouterr().err
+    # regression: an argument error exited 0 with a CSV of NaN rows
+    bad = tmp_path / "bad.csv"
+    assert run("scan", "--n", -1, "--s-list", "0,1", "--out", bad) == 1
+    assert "non-negative" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_oracle_emission(tmp_path, capsys):

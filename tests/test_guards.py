@@ -1,5 +1,5 @@
-"""Structural guards: solver-free modules, no branching on the weight's
-type, and the traced benchmark's hooks and output."""
+"""Structural guards: solver-free modules, no unused imports, no branching
+on the weight's type, and the traced benchmark's hooks and output."""
 
 import ast
 import importlib
@@ -53,6 +53,33 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def _unused_imports(path):
+    """Names a source file imports but never reads; a name listed in
+    ``__all__`` counts as read (a re-export)."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in PACKAGE.glob("*.py")))
+def test_module_has_no_unused_import(module):
+    # an import that nothing reads is usually left behind by a deletion
+    assert _unused_imports(PACKAGE / f"{module}.py") == []
 
 
 WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",

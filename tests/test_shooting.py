@@ -124,14 +124,13 @@ def test_slow_tail_jumps_to_the_predicted_radius(V, s):
     assert res.diagnostics["n_segments"] <= 3
     assert res.r_max <= shooting._R_MAX_CAP
     fraction = res.tail_mass / (2.0 * abs(res.beta_s))
-    assert (res.diagnostics["plateau_stop"]
-            or fraction < Controls().tail_rel_tol)
+    assert fraction < Controls().tail_rel_tol
 
 
 def test_zero_tail_tolerance_doubles_to_the_cap():
     # the jump's target log(tol·total) is undefined at tol = 0: the radius
-    # doubles, only the plateau stopper can end the loop, and it does not
-    # fire on the bubble's r⁻² tail before the cap
+    # doubles, and the bubble's r⁻² tail never meets a zero tolerance, so
+    # the loop runs to the cap
     with pytest.raises(MassDivergence, match=r"r_max = 1e\+06"):
         integrate_ivp(Constant(1.0), 0.0, 0.0, Controls(tail_rel_tol=0.0))
 
@@ -191,6 +190,13 @@ def test_mass_map_derivative_crosscheck():
 def test_mass_map_empty_errors():
     with pytest.raises(ValueError, match="non-empty"):
         mass_map(GAUSS, 0.0, [])
+
+
+def test_mass_map_argument_error_raises():
+    # regression: a bad argument was recorded on every entry, so a sweep of
+    # NaN rows passed for a result
+    with pytest.raises(ValueError, match="non-negative"):
+        mass_map(GAUSS, -1.0, [0.0])
 
 
 def test_mass_map_keeps_order_and_per_entry_errors():
@@ -543,6 +549,11 @@ def test_pokhozhaev_gaussian_positive_with_vanishing_limit():
 def test_pokhozhaev_zero_weight_trivial():
     res = integrate_ivp(Constant(0.0), 0.0, 0.0)
     assert res.beta_s == 0.0
+    # no mass and no tail: the stop rule accepts the first segment
+    assert res.converged
+    assert res.diagnostics["n_segments"] == 1
+    assert res.r_max == pytest.approx(64.0)
+    assert res.tail_mass == 0.0
     # zero coupling has no normalized form; carry the flat trajectory's
     # columns (rψ′ ≡ 0) under a nominal β, for which P must vanish exactly
     flat = NormalizedSolution(beta=1.0, n=0.0, psi=res.psi, dpsi=res.dpsi,

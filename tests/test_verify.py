@@ -13,10 +13,11 @@ import pytest
 
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble
-from liouville.potentials import PowerGauss
+from liouville.potentials import LogSingular, PowerGauss
 from liouville.shooting import solve_for_beta
 from liouville.solution import NormalizedSolution
-from liouville.verify import check_identities, compare_solutions
+from liouville.variational import variational_solve
+from liouville.verify import check_identities, compare_solutions, pokhozhaev_P
 
 GAUSS = PowerGauss(n_pow=0.0, gamma=1.0, alpha_exp=2.0)
 
@@ -81,6 +82,15 @@ def test_report_serialization(gaussian_sol, tmp_path):
     text = rep.to_json(path)
     assert json.loads(text) == d
     assert json.loads(path.read_text()) == d
+
+
+def test_pokhozhaev_crosscheck_takes_the_cutoff_jump():
+    # V drops from V(α⁻) to 0 at α = 0.5, so P jumps by about −5 on a scale
+    # of 6; the integral form without the jump would miss it by ~0.8
+    V = LogSingular(0.5)
+    sol, res = variational_solve(V, 2.0, 1.0, R=12.0)
+    assert res.converged
+    assert pokhozhaev_P(sol, V)["max_crosscheck_diff"] < 1e-4
 
 
 # ---------------------------------------------------------------------------
