@@ -10,6 +10,11 @@ Every weight used by the suite is non-negative and radial.  The catalog:
     Tabulated(radii, values)         monotone C¹ cubic in log r, constant
                                      below the table, fitted power-law tail
 
+Three evaluators read a weight: `value_and_derivative(r)` (V and V′ on an
+array or one radius), `value(r)` (V alone) and `smooth_scalar(r)` (the
+float Ṽ = V/r^n_pow at one radius, finite at the origin, for the shooting
+RHS).
+
 Two structural quantities drive existence theory and are exposed here:
 
   * the integrability exponent α(V) = sup{α : ∫_{|x|>1} |V| |x|^{2α} dx < ∞},
@@ -30,7 +35,7 @@ exactly.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -78,16 +83,12 @@ class Potential:
     def value(self, r):
         return self.value_and_derivative(r)[0]
 
-    def smooth_value(self, r):
-        """V(r) / r^n_pow, finite at the origin; used by the ODE weight."""
-        r = np.asarray(r, dtype=float)
+    def smooth_scalar(self, r):
+        """Ṽ(r) = V(r)/r^n_pow at one radius r ≥ 0, as a float, finite at
+        the origin; the shooting RHS reads it."""
         if self.n_pow == 0:
             return self.value(r)
-        return self.value(np.maximum(r, 1e-300)) * _safe_pow(r, -self.n_pow)
-
-    def smooth_scalar(self, r):
-        """Ṽ(r) = V(r)/r^n_pow at one radius r ≥ 0, as a float."""
-        return float(self.smooth_value(r))
+        return float(self.value(max(r, 1e-300)) * _safe_pow(r, -self.n_pow))
 
     def beta_window(self, n):
         """(lo, hi): the couplings β for which both integrability conditions
@@ -127,9 +128,6 @@ class Constant(Potential):
     def _value_deriv(self, r):
         return np.full_like(r, self.c), np.zeros_like(r)
 
-    def smooth_value(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.c)
-
     def smooth_scalar(self, r):
         return self.c
 
@@ -168,9 +166,6 @@ class PowerGauss(Potential):
     @property
     def decay_power(self):
         return -math.inf if self.gamma > 0 else self.n_pow
-
-    def smooth_value(self, r):
-        return np.exp(-self.gamma * _safe_pow(np.asarray(r, dtype=float), self.alpha_exp))
 
     def smooth_scalar(self, r):
         return math.exp(-self.gamma * r ** self.alpha_exp)
@@ -252,10 +247,6 @@ class LogSingular(Potential):
         v[inside] = vi
         dv[inside] = vi * (-2.0 / ri + 1.5 / (ri * u))
         return v, dv
-
-    def cutoff_jump(self):
-        """Drop of V across r = alpha_cut (V(α⁻) − V(α⁺))."""
-        return float(self.value(self.alpha_cut))
 
     def origin_integrable(self, beta, delta, n):
         # rⁿV ~ r^{n−2}(−log r)^{−3/2}: integrable against r^{1−β−δ} iff
@@ -395,10 +386,7 @@ class ConditionReport:
                 and self.positivity_annulus_ok)
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in (
-            "beta", "delta", "alpha_v", "min_condition_ok", "origin_integral_ok",
-            "infinity_integral_ok", "vminus_integral_ok", "positivity_annulus_ok",
-            "approximate")}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["all_pass"] = self.all_pass
         return d
 

@@ -117,11 +117,9 @@ class _Discretization:
         # ½∫|∇φ|² = Σ c_i (φ_{i+1} − φ_i)²,   c_i = π(r_i + r_{i+1})/(2 h_i)
         self.c = math.pi * (r[:-1] + r[1:]) / (2.0 * h)
 
-        n_pow = float(V.n_pow)
-        w1 = (r ** (self.n + n_pow) * V.smooth_value(r)
-              * np.exp(-gauge.psi0))
+        w1 = r ** self.n * V.value(r) * np.exp(-gauge.psi0)
         mu = 2.0 * math.pi * grid.weights * w1 * r
-        k_origin = self.n + n_pow
+        k_origin = self.n + float(V.n_pow)
         mu[0] += 2.0 * math.pi * w1[0] * r[0] ** 2 / (k_origin + 2.0)
         self.mu = mu
         with np.errstate(divide="ignore"):

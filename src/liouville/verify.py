@@ -1,7 +1,7 @@
 """Identity and inequality checks for candidate radial solutions.
 
 Everything here re-derives its quantities from the stored ψ̃ samples through
-an independent quadrature route (cumulative Simpson in log r), so a corrupted
+one independent quadrature rule, cumulative Simpson in log r, so a corrupted
 profile cannot satisfy the report even when its mass/slope columns are
 internally consistent.  Checked facts, for −Δψ̃ = 4πβ rⁿV e^{ψ̃} with unit
 mass:
@@ -20,20 +20,21 @@ Q = u(u/2+β) + 4πβ r^{n+2}V e^{ψ̃} (u = rψ̃′):
     Q′ = 4πβ (n+2−β) r^{n+1}V e^{ψ̃} + 4πβ r^{n+2}V′ e^{ψ̃},
 
 which holds for either sign of β and gives the partial integral
-J(r) = Q(r)/(2β) − (n+2−β) M(r) used for the origin cell below the first
-node.  Compactly supported weights (cutoff at r = α) contribute the jump
-−2π α^{n+2} V(α⁻) e^{ψ̃(α)} to the index integral.
-
-The Pokhozhaev function P = u(u/2+β) + r^{n+2}V e^ψ of the raw profile
-(``pokhozhaev_P``) is computed here as well; the module imports no solver.
+J(r) = 2π ∫₀^r tⁿ⁺²V′e^{ψ̃} dt = Q(r)/(2β) − (n+2−β) M(r), used for the
+origin cell below the first node.  Compactly supported weights (cutoff at
+r = α) contribute the jump −2π α^{n+2} V(α⁻) e^{ψ̃(α)} to the index integral.
+M and J are the two integrals of the rule; the mass, flux and index
+residuals read them, and so does the integral form of the Pokhozhaev
+function P = u(u/2+β) + r^{n+2}V e^ψ of the raw profile (``pokhozhaev_P``).
+The module imports no solver.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson
 
 from .solution import NormalizedSolution
 
@@ -62,14 +63,10 @@ class IdentityReport:
 
     def to_dict(self):
         out = {}
-        for name in ("mass_residual", "flux_residual", "slope_at_infinity",
-                     "pokhozhaev_residual", "log_lip_ok", "grad_bound_ok",
-                     "P_min", "c2_upper_bound", "log_lip_constant",
-                     "pokhozhaev_approximate", "beta", "n", "n_nodes"):
-            v = getattr(self, name)
-            if isinstance(v, (np.floating, np.integer)):
-                v = float(v)
-            out[name] = v
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = (float(v) if isinstance(v, (np.floating, np.integer))
+                           else v)
         return out
 
     def to_json(self, path=None):
@@ -80,58 +77,56 @@ class IdentityReport:
         return text
 
 
-def _recomputed_mass(sol, V):
-    """Cumulative mass from the stored ψ̃ alone, seeded with the stored
-    origin cell M(r₀) (the only column value trusted below the first node)."""
-    r = sol.grid.nodes
-    x = np.log(r)
-    y = r ** (sol.n + 2.0) * V.value(r) * np.exp(sol.psi)   # integrand · r
-    cutoff = V.cutoff_radius
-    if cutoff is None or cutoff <= r[0] or cutoff > r[-1]:
-        inc = cumulative_simpson(y, x=x, initial=0.0)
-        return float(sol.mass[0]) + 2.0 * math.pi * inc
-    # split at the support cutoff: Simpson inside, exact zero outside,
-    # a small trapezoid cell for the [r_k, α] remainder
-    k = int(np.searchsorted(r, cutoff, side="right") - 1)
-    inc = np.zeros_like(r)
-    if k >= 2:
-        inc[:k + 1] = cumulative_simpson(y[:k + 1], x=x[:k + 1], initial=0.0)
-    psi_alpha = float(sol.psi_at(cutoff))
-    y_alpha = cutoff ** (sol.n + 2.0) * float(V.value(cutoff)) * math.exp(psi_alpha)
-    cell = 0.5 * (y[k] + y_alpha) * (math.log(cutoff) - x[k])
-    inc[k + 1:] = inc[k] + cell
-    return float(sol.mass[0]) + 2.0 * math.pi * inc
+def _cumulative_integrals(sol, V):
+    """(M, J) at every node: the mass M(r) = 2π ∫₀^r tⁿ⁺¹V e^{ψ̃} dt and the
+    partial index integral J(r) = 2π ∫₀^r tⁿ⁺²V′ e^{ψ̃} dt.
 
-
-def _index_integral(sol, V):
-    """J(∞) = ∫ |x|ⁿ e^{ψ̃} x·∇V dx, with the analytic origin cell and the
-    support-cutoff jump."""
+    Cumulative Simpson in log r from the first node, seeded with the stored
+    M(r₀) (the only column value trusted below it) and the exact
+    J(r₀) = Q(r₀)/(2β) − (n+2−β)M(r₀).  A support cutoff α inside the grid
+    closes the bulk with one trapezoid cell [r_k, α], takes the jump
+    −α^{n+2}V(α⁻)e^{ψ̃(α)} into J at r ≥ α, and adds nothing beyond α.
+    """
     r = sol.grid.nodes
     x = np.log(r)
     beta, n = sol.beta, sol.n
     v, dv = V.value_and_derivative(r)
-    y = r ** (n + 3.0) * dv * np.exp(sol.psi)               # integrand · r
+    e_psi = np.exp(sol.psi)
+    y_mass = r ** (n + 2.0) * v * e_psi                   # integrands · r
+    y_index = r ** (n + 3.0) * dv * e_psi
 
-    # origin cell from the exact partial integral J(r0) = Q/(2β) − (n+2−β)M
+    m0 = float(sol.mass[0])
     u0 = float(sol.dpsi[0])
     q0 = (u0 * (0.5 * u0 + beta)
           + 4.0 * math.pi * beta * r[0] ** (n + 2.0) * float(v[0])
           * math.exp(float(sol.psi[0])))
-    j0 = q0 / (2.0 * beta) - (n + 2.0 - beta) * float(sol.mass[0])
+    j0 = q0 / (2.0 * beta) - (n + 2.0 - beta) * m0
 
     cutoff = V.cutoff_radius
-    if cutoff is None or cutoff <= r[0] or cutoff > r[-1]:
-        bulk = simpson(y, x=x)
-        jump = 0.0
-    else:
-        k = int(np.searchsorted(r, cutoff, side="right") - 1)
-        bulk = simpson(y[:k + 1], x=x[:k + 1]) if k >= 2 else 0.0
-        psi_alpha = float(sol.psi_at(cutoff))
-        v_alpha, dv_alpha = V.value_and_derivative(cutoff)
-        y_alpha = cutoff ** (n + 3.0) * dv_alpha * math.exp(psi_alpha)
-        bulk += 0.5 * (y[k] + y_alpha) * (math.log(cutoff) - x[k])
-        jump = -cutoff ** (n + 2.0) * v_alpha * math.exp(psi_alpha)
-    return j0 + 2.0 * math.pi * (bulk + jump)
+    inside = cutoff is not None and r[0] < cutoff <= r[-1]
+    k = int(np.searchsorted(r, cutoff, side="right")) - 1 if inside else r.size - 1
+    mass_a = index_a = 0.0          # integrands · r at α⁻
+    if inside:
+        v_a, dv_a = V.value_and_derivative(cutoff)
+        e_a = math.exp(float(sol.psi_at(cutoff)))
+        mass_a, index_a = (cutoff ** (n + 2.0) * v_a * e_a,
+                           cutoff ** (n + 3.0) * dv_a * e_a)
+
+    def cumulative(y, y_alpha):
+        inc = np.zeros_like(y)
+        if k >= 2:
+            inc[:k + 1] = cumulative_simpson(y[:k + 1], x=x[:k + 1],
+                                             initial=0.0)
+        if inside:
+            cell = 0.5 * (y[k] + y_alpha) * (math.log(cutoff) - x[k])
+            inc[k + 1:] = inc[k] + cell
+        return 2.0 * math.pi * inc
+
+    mass = m0 + cumulative(y_mass, mass_a)
+    index = j0 + cumulative(y_index, index_a)
+    if inside:
+        index[r >= cutoff] -= 2.0 * math.pi * mass_a    # V drops by V(α⁻)
+    return mass, index
 
 
 def check_identities(sol, V=None):
@@ -150,13 +145,11 @@ def check_identities(sol, V=None):
 
     r = sol.grid.nodes
     beta = sol.beta
-    mass_rec = _recomputed_mass(sol, V)
+    mass_rec, index = _cumulative_integrals(sol, V)
     mass_residual = abs(mass_rec[-1] - 1.0)
     flux_residual = float(np.max(np.abs(sol.dpsi + 2.0 * beta * mass_rec)))
     slope_gap = abs(float(sol.dpsi[-1]) + 2.0 * beta)
-
-    index = _index_integral(sol, V)
-    pokhozhaev_residual = abs(beta - 2.0 - sol.n - index)
+    pokhozhaev_residual = abs(beta - 2.0 - sol.n - index[-1])
 
     # log-Lipschitz bound on a 32-radius subsample (all pairs)
     x = np.log(r)
@@ -165,19 +158,16 @@ def check_identities(sol, V=None):
     dirichlet_cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (u2[1:] + u2[:-1]) * np.diff(x))])
     pick = np.unique(np.linspace(0, r.size - 1, 32).astype(int))
-    log_lip_ok = True
-    worst = 0.0   # the bound constant: sup over checked pairs of lhs − rhs
-    for a_i in range(pick.size):
-        i = pick[a_i]
-        for j in pick[a_i + 1:]:
-            lhs = (sol.psi[i] - sol.psi[j]) ** 2
-            rhs = (x[j] - x[i]) * (dirichlet_cum[j] - dirichlet_cum[i])
-            worst = max(worst, lhs - rhs)
-            # slack: the far field has u ≡ −2β (the Cauchy–Schwarz equality
-            # case), so quadrature error in the slope column shows up raw;
-            # genuine corruption violates by orders of magnitude more
-            if lhs > rhs + 1e-6 * (1.0 + abs(rhs)):
-                log_lip_ok = False
+    a, b = np.triu_indices(pick.size, k=1)
+    i, j = pick[a], pick[b]
+    lhs = (sol.psi[i] - sol.psi[j]) ** 2
+    rhs = (x[j] - x[i]) * (dirichlet_cum[j] - dirichlet_cum[i])
+    # the bound constant: sup over checked pairs of lhs − rhs
+    worst = max(0.0, float(np.max(lhs - rhs)))
+    # slack: the far field has u ≡ −2β (the Cauchy–Schwarz equality case),
+    # so quadrature error in the slope column shows up raw; genuine
+    # corruption violates by orders of magnitude more
+    log_lip_ok = not np.any(lhs > rhs + 1e-6 * (1.0 + np.abs(rhs)))
     # |r ψ̃′| ≤ 2|β| M(r) ≤ 2|β| since M(∞) = 1; compare against the unit
     # bound (the recomputed truncated mass can sit a quadrature error below 1
     # even when the slope legitimately attains 2|β| at r_max)
@@ -208,9 +198,10 @@ def pokhozhaev_P(sol, V):
 
     ψ here is the *raw* profile ψ = ψ̃ + log(4π|β|) of the normalized
     solution ``sol``.  For β > 0 the profile form is cross-checked against
-    the integral form ∫₀^r (tV′ + (n+2−β)V) tⁿ⁺¹e^ψ dt (they agree up to
-    quadrature error; the identity behind the check needs the σ=+1 sign).
-    Returns a dict with the P samples and diagnostics.
+    the integral form ∫₀^r (tV′ + (n+2−β)V) tⁿ⁺¹e^ψ dt = 2β(J + (n+2−β)M),
+    read from the module's one cumulative Simpson rule in log r (they agree
+    up to quadrature error; the identity behind the check needs the σ=+1
+    sign).  Returns a dict with the P samples and diagnostics.
     """
     beta = sol.beta
     n = sol.n
@@ -218,7 +209,7 @@ def pokhozhaev_P(sol, V):
     psi_raw = sol.psi + math.log(4.0 * math.pi * abs(beta))
     u = sol.dpsi
 
-    v, dv = V.value_and_derivative(r)
+    v = V.value(r)
     e_psi = np.exp(psi_raw)
     P = u * (0.5 * u + beta) + r ** (n + 2.0) * v * e_psi
 
@@ -228,18 +219,8 @@ def pokhozhaev_P(sol, V):
         "P_at_r_max": float(P[-1]),
     }
     if beta > 0.0:
-        integrand = (r * dv + (n + 2.0 - beta) * v) * r ** (n + 1.0) * e_psi
-        d = np.diff(r)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * d)])
-        # origin cell: integrand ~ C r^{n+1}
-        cum += integrand[0] * r[0] / (n + 2.0)
-        cutoff = V.cutoff_radius
-        if cutoff is not None and r[0] < cutoff <= r[-1]:
-            # V drops by V(α⁻) at the cutoff: P jumps down accordingly
-            p_at = np.interp(math.log(cutoff), np.log(r), psi_raw)
-            jump = -cutoff ** (n + 2.0) * float(V.value(cutoff)) * math.exp(p_at)
-            cum = np.where(r >= cutoff, cum + jump, cum)
+        mass, index = _cumulative_integrals(sol, V)
+        cum = 2.0 * beta * (index + (n + 2.0 - beta) * mass)
         diff = P - cum
         scale = 1.0 + np.max(np.abs(P))
         out["integral_form"] = cum

@@ -4,7 +4,6 @@ Chern–Simons field-rescaling law, and the temperature-scan table."""
 import csv
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -13,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "liouville"
+TESTS = ROOT / "tests"
 SOLVERS = {"shooting", "variational"}
 
 
@@ -75,11 +76,12 @@ def _unused_imports(path):
                   if name not in used)
 
 
-@pytest.mark.parametrize("module", sorted(
-    path.stem for path in PACKAGE.glob("*.py")))
-def test_module_has_no_unused_import(module):
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_module_has_no_unused_import(path):
     # an import that nothing reads is usually left behind by a deletion
-    assert _unused_imports(PACKAGE / f"{module}.py") == []
+    assert _unused_imports(path) == []
 
 
 WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",

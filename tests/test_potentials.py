@@ -88,7 +88,6 @@ def test_log_singular_matches_formula_and_cutoff():
     c = -math.log(a) / (2.0 * math.pi)
     assert v == pytest.approx(c / (r * r * (-math.log(r)) ** 1.5))
     assert V.value_and_derivative(1.01 * a)[0] == 0.0
-    assert V.cutoff_jump() == pytest.approx(V.value_and_derivative(a)[0])
     with pytest.raises(ValueError):
         V.value_and_derivative(0.0)
 
@@ -117,7 +116,7 @@ def test_negative_power_rejects_origin():
 
 def test_smooth_value_is_finite_at_origin():
     V = PowerGauss(n_pow=2.0, gamma=1.0, alpha_exp=2.0)
-    assert V.smooth_value(np.array([0.0]))[0] == 1.0
+    assert V.smooth_scalar(0.0) == 1.0
 
 
 # --- integrability exponent alpha(V) ---------------------------------------

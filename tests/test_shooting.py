@@ -542,7 +542,8 @@ def test_pokhozhaev_gaussian_positive_with_vanishing_limit():
     out = pokhozhaev_P(sol, GAUSS)
     assert out["min_P"] >= -1e-6
     assert out["P_at_r_max"] < 1e-4
-    # trapezoid on the stored samples limits the integral-form agreement
+    # Simpson in log r on the stored samples limits the integral-form
+    # agreement
     assert out["max_crosscheck_diff"] < 1e-5
 
 

@@ -6,14 +6,14 @@ mass/slope columns still satisfy the invariants they were built with.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
+from liouville.applications import CSS, solve_app
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble
-from liouville.potentials import LogSingular, PowerGauss
+from liouville.potentials import LogSingular, PowerGauss, Sphere
 from liouville.shooting import solve_for_beta
 from liouville.solution import NormalizedSolution
 from liouville.variational import variational_solve
@@ -39,17 +39,43 @@ def test_report_on_clean_solution(gaussian_sol):
     assert rep.n == 0.0 and rep.n_nodes == gaussian_sol.grid.n_nodes
 
 
-def test_corrupted_profile_is_flagged(gaussian_sol):
+@pytest.fixture(scope="module")
+def corrupted_sol(gaussian_sol):
     bump = 0.5 * np.exp(-(gaussian_sol.r - 3.0) ** 2)
-    bad = NormalizedSolution(
+    return NormalizedSolution(
         beta=gaussian_sol.beta, n=gaussian_sol.n,
         psi=gaussian_sol.psi + bump, dpsi=gaussian_sol.dpsi,
         mass=gaussian_sol.mass, grid=gaussian_sol.grid,
         potential=gaussian_sol.potential)
-    rep = check_identities(bad)
+
+
+def test_corrupted_profile_is_flagged(corrupted_sol):
+    rep = check_identities(corrupted_sol)
     assert rep.flux_residual > 1e-2
     assert not rep.log_lip_ok
     assert rep.mass_residual > 1e-3
+
+
+def _log_lip_by_pairs(sol):
+    """Reference: the log-Lipschitz verdict and constant, one pair at a time."""
+    x = np.log(sol.r)
+    u2 = sol.dpsi ** 2
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (u2[1:] + u2[:-1]) * np.diff(x))])
+    pick = np.unique(np.linspace(0, sol.r.size - 1, 32).astype(int))
+    ok, worst = True, 0.0
+    for a, i in enumerate(pick):
+        for j in pick[a + 1:]:
+            lhs = (sol.psi[i] - sol.psi[j]) ** 2
+            rhs = (x[j] - x[i]) * (cum[j] - cum[i])
+            worst = max(worst, lhs - rhs)
+            ok = ok and not lhs > rhs + 1e-6 * (1.0 + abs(rhs))
+    return ok, float(worst)
+
+
+def test_log_lip_matches_the_pairwise_loop(gaussian_sol, corrupted_sol):
+    for sol in (gaussian_sol, corrupted_sol):
+        rep = check_identities(sol)
+        assert (rep.log_lip_ok, rep.log_lip_constant) == _log_lip_by_pairs(sol)
 
 
 def test_potential_required():
@@ -82,6 +108,19 @@ def test_report_serialization(gaussian_sol, tmp_path):
     text = rep.to_json(path)
     assert json.loads(text) == d
     assert json.loads(path.read_text()) == d
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0)),
+    lambda: solve_app(CSS(1, 2.0, B=1.0))[0],
+    lambda: solve_for_beta(Sphere(-1.0, 0.0), 0.0, 1.2, (-4.0, 4.0)),
+], ids=["gauss", "css", "sphere"])
+def test_pokhozhaev_crosscheck_reads_the_simpson_integrals(solve):
+    # the integral form 2β(J + (n+2−β)M) shares its cumulative Simpson rule
+    # with the mass and index checks; a trapezoid rule in r agreed only to
+    # ~1e-6 on these smooth shooting profiles
+    sol = solve()
+    assert pokhozhaev_P(sol, sol.potential)["max_crosscheck_diff"] < 1e-7
 
 
 def test_pokhozhaev_crosscheck_takes_the_cutoff_jump():
