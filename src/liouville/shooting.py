@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
-_PSI_CAP = 700.0          # e^ψ overflow guard
+_PSI_CAP = 700.0          # clamp on every exponent; larger s is rejected
 _R_MAX_INIT = 64.0        # first truncation radius of an auto-r_max solve
 _R_MAX_CAP = 1e6          # auto-r_max extends up to this, then gives up
 _MAX_EXPAND = 10          # bracket expansions before a nonexistence verdict
@@ -171,7 +171,6 @@ class MassMapEntry:
     s: float
     beta: float = math.nan
     beta_prime: float = math.nan
-    beta_prime_fd: float = math.nan   # centered difference when neighbors exist
     error: str = None
 
 
@@ -305,15 +304,6 @@ def _batch_rhs(vs, k, sigma, size):
     return rhs
 
 
-def _blow_up_event(size):
-    """Terminal event: the largest ψ of the batch reaches the overflow cap."""
-    def blow_up(x, y):
-        return y[:size].max() - _PSI_CAP
-    blow_up.terminal = True
-    blow_up.direction = 1.0
-    return blow_up
-
-
 def integrate_ivp(V, n, s, controls=None, sigma=1):
     """Integrate raw trajectories and summarize their mass map entries.
 
@@ -409,14 +399,14 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
         size = len(active)
         sol = solve_ivp(_batch_rhs(vs, k, sigma, size), (x_cur, x_target), y,
                         method=_MaxNormDOP853, rtol=c.rel_tol, atol=c.abs_tol,
-                        dense_output=True, events=[_blow_up_event(size)])
+                        dense_output=True)
         y_end = sol.y[:, -1]
         top = int(np.argmax(y_end[:size]))
-        # a pole-type blow-up shrinks the step below machine spacing long
-        # before psi reaches the overflow event
-        blown = sol.status == 1 or (
-            sol.status == -1
-            and y_end[top] > max(s_list[active[top]], 0.0) + 10.0)
+        # a pole-type blow-up shrinks the step below machine spacing while
+        # psi is still far below the clamp; the member with the largest psi
+        # is the one that blew up
+        blown = (sol.status == -1
+                 and y_end[top] > max(s_list[active[top]], 0.0) + 10.0)
         if sol.status == -1 and not blown:
             if size == 1:
                 out[active[0]] = ShootingError(
@@ -468,8 +458,7 @@ def mass_map(V, n, s_list, controls=None, sigma=1):
 
     The whole list is one batched ``integrate_ivp`` call.  A trajectory that
     fails records its error on its own entry; an argument error (a negative
-    n, a weight that cannot be shot) raises.  Interior entries also record a
-    centered-difference cross-check of β′.
+    n, a weight that cannot be shot) raises.
     """
     s_list = list(s_list)
     if not s_list:
@@ -482,16 +471,6 @@ def mass_map(V, n, s_list, controls=None, sigma=1):
         else:
             entry.beta = res.beta_s
             entry.beta_prime = res.beta_prime_s
-
-    order = sorted(range(len(entries)), key=lambda i: entries[i].s)
-    for j in range(1, len(order) - 1):
-        lo, mid, hi = (entries[order[j - 1]], entries[order[j]],
-                       entries[order[j + 1]])
-        if lo.error or mid.error or hi.error:
-            continue
-        ds = hi.s - lo.s
-        if ds > 0:
-            mid.beta_prime_fd = (hi.beta - lo.beta) / ds
     return entries
 
 
@@ -555,12 +534,9 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     map is a flat family and the upper end is returned; one end alone is
     never accepted, since a map that saturates toward the target drifts
     inside any tolerance.  Otherwise the bracket is expanded to a sign
-    change, and each step is a Newton step s − (β − target)/β′ from the
-    evaluated point nearest the target, using the exact tail-corrected
-    β′(s), when it lands strictly inside the bracket, and bisection
-    otherwise (bracketed Newton, ``rtsafe`` in *Numerical Recipes* §9.4).
-    Once the evaluated map is non-monotone only bisection runs, and the
-    result is flagged ``multiple_roots_possible``.
+    change and ``_root_search`` finds the root by bracketed Newton on the
+    exact tail-corrected β′(s).  A result whose evaluated map both rises
+    and falls is flagged ``multiple_roots_possible``.
     """
     c = controls or Controls()
     if beta_target == 0.0:
@@ -607,14 +583,25 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
 
 def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
                  s_lo, g_lo, s_hi):
-    """s* with |β(s*) − target| < root_tol inside a sign-change bracket:
-    Newton steps while the map is monotone and they land inside, else
-    bisection, until the bracket ends are adjacent doubles."""
+    """s* with |β(s*) − target| < root_tol inside a sign-change bracket.
+
+    Bracketed Newton (``rtsafe``, *Numerical Recipes* §9.4): each step is a
+    Newton step s − (β − target)/β′ on the exact β′ of the bracket end
+    nearest the target, taken when it lands strictly inside the bracket and
+    moves at most half the previous step (the bracket width before the
+    first step); bisection otherwise, a step of half the bracket width.
+    Stops with PrecisionLimitError once the ends are adjacent doubles.
+    """
+    g_hi = shoot(s_hi)
+    last = s_hi - s_lo
     for _ in range(_MAX_ROOT_ITER):
-        s_new = None
-        if not _non_monotone(evaluated):
-            s_new = _newton_step(evaluated, beta_target, s_lo, s_hi)
-        if s_new is None:
+        # a diverged end has |g| = inf, so the nearest end is never one
+        s_end = s_lo if abs(g_lo) <= abs(g_hi) else s_hi
+        res = evaluated[s_end]
+        s_new = math.nan
+        if res.beta_prime_s != 0.0:
+            s_new = s_end - (res.beta_s - beta_target) / res.beta_prime_s
+        if not (s_lo < s_new < s_hi and abs(s_new - s_end) <= 0.5 * last):
             s_new = 0.5 * (s_lo + s_hi)
             if s_new in (s_lo, s_hi):
                 b_lo, b_hi = (_beta(evaluated[s], sigma) for s in (s_lo, s_hi))
@@ -625,29 +612,17 @@ def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
                     f"there; target {beta_target:.12g}",
                     beta_range=tuple(sorted((b_lo, b_hi))),
                     s_range=(s_lo, s_hi))
+        last = abs(s_new - s_end)
         g_new = shoot(s_new)
         if abs(g_new) < root_tol:
             return s_new
         if g_new * g_lo < 0.0:
-            s_hi = s_new
+            s_hi, g_hi = s_new, g_new
         else:
             s_lo, g_lo = s_new, g_new
     raise ShootingError(
         f"beta root did not converge in {_MAX_ROOT_ITER} iterations "
         f"(bracket [{s_lo:g}, {s_hi:g}])")
-
-
-def _newton_step(evaluated, beta_target, s_lo, s_hi):
-    """Newton step s − (β − target)/β′ from the evaluated trajectory nearest
-    the target; None when it leaves the open bracket (s_lo, s_hi) or β′
-    there is zero or not finite.  β′ is exact through φ."""
-    res = min((res for res in evaluated.values() if res is not None),
-              key=lambda r: abs(r.beta_s - beta_target))
-    slope = res.beta_prime_s
-    if slope == 0.0 or not math.isfinite(slope):
-        return None
-    s_new = res.s - (res.beta_s - beta_target) / slope
-    return s_new if s_lo < s_new < s_hi else None
 
 
 def _non_monotone(evaluated, jitter=1e-9):

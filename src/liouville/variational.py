@@ -105,7 +105,8 @@ def build_gauge(beta, grid):
 
 
 class _Discretization:
-    """Stiffness, lumped masses, and load for the radial P1 energy."""
+    """Stiffness, lumped masses, and load for the radial P1 energy; raises
+    when ∫W₁e^φ is not positive (outside the admissible class)."""
 
     def __init__(self, gauge, V, n):
         grid = gauge.grid
@@ -121,6 +122,9 @@ class _Discretization:
         mu = 2.0 * math.pi * grid.weights * w1 * r
         k_origin = self.n + float(V.n_pow)
         mu[0] += 2.0 * math.pi * w1[0] * r[0] ** 2 / (k_origin + 2.0)
+        if not np.any(mu > 0.0):
+            raise ValueError(
+                "outside admissible class: weighted mass is not positive")
         self.mu = mu
         with np.errstate(divide="ignore"):
             self.log_mu = np.log(mu)
@@ -174,10 +178,7 @@ def energy(gauge, V, phi, n=0.0):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != gauge.grid.nodes.shape:
         raise ValueError("phi must have one value per grid node")
-    disc = _Discretization(gauge, V, n)
-    if not np.any(disc.mu > 0.0):
-        raise ValueError("outside admissible class: weighted mass is not positive")
-    value, grad, _, _ = disc.energy_grad(phi)
+    value, grad, _, _ = _Discretization(gauge, V, n).energy_grad(phi)
     return value, grad
 
 
@@ -303,8 +304,6 @@ def minimize(gauge, V, init=None, n=0.0):
     """
     grid = gauge.grid
     disc = _Discretization(gauge, V, n)
-    if not np.any(disc.mu > 0.0):
-        raise ValueError("outside admissible class: weighted mass is not positive")
 
     flags = []
     gap = V.beta_window(n)[1] - gauge.beta

@@ -145,7 +145,8 @@ def check_identities(sol, V=None):
 
     r = sol.grid.nodes
     beta = sol.beta
-    mass_rec, index = _cumulative_integrals(sol, V)
+    pokhozhaev = pokhozhaev_P(sol, V)
+    mass_rec, index = pokhozhaev["mass"], pokhozhaev["index"]
     mass_residual = abs(mass_rec[-1] - 1.0)
     flux_residual = float(np.max(np.abs(sol.dpsi + 2.0 * beta * mass_rec)))
     slope_gap = abs(float(sol.dpsi[-1]) + 2.0 * beta)
@@ -177,7 +178,6 @@ def check_identities(sol, V=None):
 
     c2 = float(np.max(sol.psi + 2.0 * beta * np.log(r + 1.0)
                       - math.log(abs(beta))))
-    p_min = pokhozhaev_P(sol, V)["min_P"]
 
     return IdentityReport(
         mass_residual=float(mass_residual),
@@ -186,7 +186,7 @@ def check_identities(sol, V=None):
         pokhozhaev_residual=float(pokhozhaev_residual),
         log_lip_ok=bool(log_lip_ok),
         grad_bound_ok=grad_bound_ok,
-        P_min=float(p_min),
+        P_min=pokhozhaev["min_P"],
         c2_upper_bound=c2,
         log_lip_constant=float(worst),
         pokhozhaev_approximate=V.sampled,
@@ -197,11 +197,12 @@ def pokhozhaev_P(sol, V):
     """Pokhozhaev function P = rψ′(½rψ′ + β) + r^{n+2}V e^ψ along a profile.
 
     ψ here is the *raw* profile ψ = ψ̃ + log(4π|β|) of the normalized
-    solution ``sol``.  For β > 0 the profile form is cross-checked against
-    the integral form ∫₀^r (tV′ + (n+2−β)V) tⁿ⁺¹e^ψ dt = 2β(J + (n+2−β)M),
-    read from the module's one cumulative Simpson rule in log r (they agree
-    up to quadrature error; the identity behind the check needs the σ=+1
-    sign).  Returns a dict with the P samples and diagnostics.
+    solution ``sol``.  The dict also holds the module's two cumulative
+    Simpson integrals M and J at every node (keys ``mass``, ``index``).
+    For β > 0 the profile form is cross-checked against the integral form
+    ∫₀^r (tV′ + (n+2−β)V) tⁿ⁺¹e^ψ dt = 2β(J + (n+2−β)M) (they agree up to
+    quadrature error; the identity behind the check needs the σ=+1 sign).
+    Returns a dict with the P samples and diagnostics.
     """
     beta = sol.beta
     n = sol.n
@@ -212,14 +213,15 @@ def pokhozhaev_P(sol, V):
     v = V.value(r)
     e_psi = np.exp(psi_raw)
     P = u * (0.5 * u + beta) + r ** (n + 2.0) * v * e_psi
+    mass, index = _cumulative_integrals(sol, V)
 
     out = {
         "r": r, "P": P,
         "min_P": float(np.min(P)),
         "P_at_r_max": float(P[-1]),
+        "mass": mass, "index": index,
     }
     if beta > 0.0:
-        mass, index = _cumulative_integrals(sol, V)
         cum = 2.0 * beta * (index + (n + 2.0 - beta) * mass)
         diff = P - cum
         scale = 1.0 + np.max(np.abs(P))

@@ -141,6 +141,14 @@ def test_blowup_reports_mass_divergence():
         integrate_ivp(Constant(1.0), 0.0, 1.0, sigma=-1)
 
 
+@pytest.mark.parametrize("V", [GAUSS, Constant(1.0)], ids=["gauss", "const"])
+def test_blowup_just_below_the_exponent_clamp_is_mass_divergence(V):
+    # s = 699.9 starts 0.1 below _PSI_CAP: the step-collapse pole test alone
+    # must name the blow-up, with no overflow event to stop the integrator
+    with pytest.raises(MassDivergence, match="blows up"):
+        integrate_ivp(V, 0.0, 699.9, sigma=-1)
+
+
 def test_log_singular_weight_rejected():
     with pytest.raises(ValueError, match="no finite center value"):
         integrate_ivp(LogSingular(alpha_cut=math.exp(-1.0)), 0.0, 0.0)
@@ -181,10 +189,9 @@ def test_mass_map_gaussian_increasing_below_two():
 
 def test_mass_map_derivative_crosscheck():
     entries = mass_map(GAUSS, 0.0, [-0.1, -0.05, 0.0, 0.05, 0.1])
-    interior = [e for e in entries if not math.isnan(e.beta_prime_fd)]
-    assert len(interior) == 3
-    for e in interior:
-        assert abs(e.beta_prime - e.beta_prime_fd) < 1e-4
+    for lo, mid, hi in zip(entries, entries[1:], entries[2:]):
+        centred = (hi.beta - lo.beta) / (hi.s - lo.s)
+        assert abs(mid.beta_prime - centred) < 1e-4
 
 
 def test_mass_map_empty_errors():
@@ -217,8 +224,6 @@ def test_mass_map_keeps_order_and_per_entry_errors():
             assert e.beta == res.beta_s
         else:
             assert isinstance(res, MassDivergence) and e.error == str(res)
-    assert [math.isnan(e.beta_prime_fd) for e in entries] == \
-        [True, True, True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +379,7 @@ def test_solve_for_beta_samples_one_trajectory(monkeypatch):
 
 
 def test_solve_for_beta_takes_newton_steps(monkeypatch):
-    integrate = shooting.integrate_ivp
-    calls = []
-
-    def counting_integrate(*args, **kwargs):
-        calls.append(args)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(shooting, "integrate_ivp", counting_integrate)
+    calls, _ = _count_trajectories(monkeypatch)
     sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))
     assert sol.beta == pytest.approx(1.0, abs=1e-8)
     assert len(calls) < 7        # bisection and a secant alone took 7
@@ -406,33 +404,47 @@ def test_root_iterations_count_only_root_steps():
 
 
 def _count_trajectories(monkeypatch):
+    """(calls, diverged): the arguments of every ``integrate_ivp`` call, and
+    the centre values of the calls that raised MassDivergence."""
     integrate = shooting.integrate_ivp
-    calls = []
+    calls, diverged = [], []
 
     def counting_integrate(*args, **kwargs):
         calls.append(args)
-        return integrate(*args, **kwargs)
+        try:
+            return integrate(*args, **kwargs)
+        except MassDivergence:
+            diverged.append(args[2])
+            raise
 
     monkeypatch.setattr(shooting, "integrate_ivp", counting_integrate)
-    return calls
+    return calls, diverged
 
 
-@pytest.mark.parametrize("V, beta, most", [
-    (GAUSS, 1.9, 10),                    # 18 with a secant step
-    (Sphere(-1.0, 0.0), 0.6, 5),         # 7 with a secant step
-], ids=["gauss1.9", "sphere-1"])
-def test_newton_or_bisection_steps_only(monkeypatch, V, beta, most):
-    calls = _count_trajectories(monkeypatch)
+@pytest.mark.parametrize("V, beta, most, most_diverged", [
+    (GAUSS, 1.9, 10, 0),                 # 18 with a secant step
+    (Sphere(-1.0, 0.0), 0.6, 5, 0),      # 7 with a secant step
+    # σ = −1 trajectories of the Gaussian blow up for s above log 4.  From
+    # s = 0 (β′ = −0.37) the Newton step lands at s = 2.95, inside the
+    # bracket (0, 4) but more than half the last step (the bisection
+    # 4 → 0), so the search bisects; taking that step costs 11
+    # trajectories, 3 of them diverged
+    (GAUSS, -1.4, 8, 2),
+], ids=["gauss1.9", "sphere-1", "gauss-1.4"])
+def test_newton_or_bisection_steps_only(monkeypatch, V, beta, most,
+                                        most_diverged):
+    calls, diverged = _count_trajectories(monkeypatch)
     sol = solve_for_beta(V, 0.0, beta, (-4.0, 4.0))
     assert sol.beta == pytest.approx(beta, abs=1e-8)
     assert len(calls) <= most
+    assert len(diverged) <= most_diverged
 
 
 def test_bracket_of_adjacent_doubles_stops_at_once(monkeypatch):
     # near the blow-up centre value log 4, β′ ≈ 6e8, so one ulp in s moves β
     # by more than root_tol: bisection cannot split the last bracket, and
     # must say so at once instead of spinning through its iterations
-    calls = _count_trajectories(monkeypatch)
+    calls, _ = _count_trajectories(monkeypatch)
     with pytest.raises(PrecisionLimitError, match="double precision") \
             as excinfo:
         solve_for_beta(GAUSS, 0.0, -100.0, (-4.0, 4.0))
