@@ -173,10 +173,7 @@ def solve(method, beta, n_exp, potential_spec, bracket, radius, abs_tol,
     else:
         if beta <= 0:
             raise click.UsageError("the variational backend needs beta > 0")
-        try:
-            sol, _ = variational_solve(V, n_exp, beta, R=controls.r_max)
-        except EnergyUnboundedError as err:
-            raise NonexistenceVerdict(str(err))
+        sol, _ = variational_solve(V, n_exp, beta, R=controls.r_max)
     report = check_identities(sol)
     _save(sol, out_path)
     click.echo(_summary(sol, report))

@@ -14,7 +14,10 @@ weight W₁ = rⁿV e^{−ψ₀} the energy over radial profiles φ on D(0,R) wi
     𝓔[φ] = ½∫|∇φ|² − 4πβ log ∫ W₁ e^φ − ∫ f φ,
 
 whose Euler–Lagrange equation is −Δφ = 4πβ W₁ e^φ / S + f, S = ∫W₁e^φ.
-The minimizer assembles into ψ = φ − log S − ψ₀.
+The minimizer assembles into ψ = φ − log S − ψ₀.  As W₁ ~ r^{n+n_pow} at
+0, 𝓔 is unbounded below on every disk once β > n + 2 + n_pow, the upper edge
+of ``V.beta_window(n)`` (weighted Moser–Trudinger; Troyanov, Trans. AMS 324,
+1991): ``minimize`` refuses such β and attempts the edge itself, flagged.
 
 Discretization: piecewise-linear radial finite elements on a grid of 4096
 nodes spaced uniformly in log r, mass lumping for the exponential integral,
@@ -26,8 +29,9 @@ tridiagonal-plus-rank-one Hessian system (Sherman–Morrison).  Only when
 Newton stalls short of the gradient tolerance does limited-memory
 quasi-Newton (L-BFGS-B) descend from where it stopped, after which Newton
 runs once more.
-One discretization is built per disk: the minimizer's result carries it, and
-the assembled solution reuses it together with the minimizer's log-mass.
+One discretization is built per disk: the minimizer's result carries it with
+its gauge and weight, and the assembled solution reuses it together with the
+minimizer's log-mass.
 
 The slope and mass columns of the assembled solution come from integrating
 the Euler–Lagrange equation: r ψ′(r) = −2β m(r)/S with
@@ -58,12 +62,12 @@ __all__ = [
 _N_NODES = 4096            # grid nodes per disk
 _MAX_ITER = 500            # L-BFGS-B iteration cap after a Newton stall
 _GRAD_TOL = 1e-8           # sup-norm of the gradient at convergence
-_ENERGY_DROP_CAP = 1e6     # a drop this far below min(𝓔[init], 𝓔[0]): unbounded
 _NEWTON_ITER = 120         # step cap of each damped Newton run
 
 
 class EnergyUnboundedError(RuntimeError):
-    """The energy descends past any bound: the infimum is −∞."""
+    """β lies above the window's upper edge n + 2 + n_pow, where the energy
+    is unbounded below on every disk: no minimizer exists."""
 
 
 @dataclass
@@ -111,6 +115,8 @@ class _Discretization:
     def __init__(self, gauge, V, n):
         grid = gauge.grid
         r = grid.nodes
+        self.gauge = gauge
+        self.V = V
         self.r = r
         self.beta = gauge.beta
         self.n = float(n)
@@ -231,14 +237,7 @@ def _certificate(disc, gauge, V, delta):
     return cert
 
 
-def _check_drop(value, cap_floor, beta):
-    if value < cap_floor:
-        raise EnergyUnboundedError(
-            "infimum -inf — hypothesis (1.3) likely violated: energy fell "
-            f"below {cap_floor:.3g} while minimizing (beta = {beta:g})")
-
-
-def _newton(disc, phi, trace, cap_floor):
+def _newton(disc, phi, trace):
     """Levenberg-damped Newton on H = T + ρ m mᵀ (tridiagonal + rank-one).
 
     Sherman–Morrison keeps every solve banded; λ adapts: shrink on an
@@ -281,7 +280,6 @@ def _newton(disc, phi, trace, cap_floor):
             tgn = float(np.max(np.abs(tg[:-1])))
             if tv < value or (tv == value and tgn < grad_norm):
                 if tv < value:
-                    _check_drop(tv, cap_floor, disc.beta)
                     trace.append(tv)
                 phi, value, grad, log_s, grad_norm = trial, tv, tg, tls, tgn
                 steps += 1
@@ -300,13 +298,20 @@ def minimize(gauge, V, init=None, n=0.0):
     Damped Newton runs first; when it stops short of ``_GRAD_TOL`` (step cap
     or rejected damping), L-BFGS-B descends from where it stopped and Newton
     runs once more.  ``iterations`` counts Newton steps plus L-BFGS-B
-    iterations.
+    iterations.  Raises ``EnergyUnboundedError`` when β > n + 2 + n_pow, the
+    upper edge of the weight's window, where no minimizer exists.
     """
+    top = V.beta_window(n)[1]
+    if gauge.beta > top:
+        raise EnergyUnboundedError(
+            f"beta = {gauge.beta:g} exceeds n + 2 + n_pow = {top:g}: the "
+            "energy's infimum is -inf on every disk, so no minimizer exists; "
+            "`find` tests whether a solution does")
     grid = gauge.grid
     disc = _Discretization(gauge, V, n)
 
     flags = []
-    gap = V.beta_window(n)[1] - gauge.beta
+    gap = top - gauge.beta
     delta = min(1.0, gap / 2.0) if gap > 0 else None
     if delta is None or not check_conditions(V, gauge.beta, delta, n).all_pass:
         flags.append("existence_hypotheses_violated")
@@ -319,18 +324,11 @@ def minimize(gauge, V, init=None, n=0.0):
         raise ValueError("init must be finite at every node")
     phi[-1] = 0.0
 
-    e0 = disc.energy_grad(phi)[0]
-    trace = [e0]
-    # anchored at the lower of 𝓔[init] and 𝓔[0]: a rough init starts far
-    # above the infimum, and its descent is no evidence of an unbounded 𝓔
-    cap_floor = min(e0, disc.energy_grad(np.zeros(nn))[0]) - _ENERGY_DROP_CAP
-
-    phi, iterations, grad_norm = _newton(disc, phi, trace, cap_floor)
+    trace = [disc.energy_grad(phi)[0]]
+    phi, iterations, grad_norm = _newton(disc, phi, trace)
     if grad_norm >= _GRAD_TOL:
         def objective(x):
-            full = np.concatenate([x, [0.0]])
-            value, grad, _, _ = disc.energy_grad(full)
-            _check_drop(value, cap_floor, gauge.beta)
+            value, grad, _, _ = disc.energy_grad(np.concatenate([x, [0.0]]))
             return value, grad[:-1]
 
         def on_step(xk):
@@ -341,7 +339,7 @@ def minimize(gauge, V, init=None, n=0.0):
                              options={"maxiter": _MAX_ITER, "ftol": 1e-16,
                                       "gtol": _GRAD_TOL, "maxcor": 20})
         phi, steps, grad_norm = _newton(
-            disc, np.concatenate([res.x, [0.0]]), trace, cap_floor)
+            disc, np.concatenate([res.x, [0.0]]), trace)
         iterations += int(res.nit) + steps
 
     value, _, log_s, dirichlet = disc.energy_grad(phi)
@@ -357,14 +355,15 @@ def minimize(gauge, V, init=None, n=0.0):
         certificate=_certificate(disc, gauge, V, delta), n=float(n))
 
 
-def to_solution(m, gauge, V):
+def to_solution(m):
     """Assemble ψ = φ − log S − ψ₀ with exact discrete mass/slope columns.
 
-    Reuses the discretization and log S of the minimize result ``m``; pass
-    the gauge and weight it was minimized with.
+    Reuses the discretization of the minimize result ``m`` (its gauge and
+    weight) and its log S.
     """
-    grid = gauge.grid
     disc = m._disc
+    gauge, V = disc.gauge, disc.V
+    grid = gauge.grid
     psi = m.phi - m.log_mass - gauge.psi0
     # EL integration: r ψ′ = −2β m_V(r)/S.  The node-sampled cumulative is a
     # trapezoid sum (a plain cumsum of lumped cells lands on cell midpoints,
@@ -397,17 +396,17 @@ def variational_solve(V, n, beta, R=None):
     radius = 12.0 if auto else float(R)
     last_center = None
     for _ in range(4):
-        grid = make_grid(radius, _N_NODES)
-        gauge = build_gauge(beta, grid)
+        gauge = build_gauge(beta, make_grid(radius, _N_NODES))
         result = minimize(gauge, V, n=n)
-        sol = to_solution(result, gauge, V)
-        center = float(sol.psi[0])
-        if not auto or (last_center is not None
-                        and abs(center - last_center) < 1e-4):
-            sol.meta["r_refined"] = auto
-            return sol, result
+        # ψ(0) as to_solution assembles it
+        center = float(result.phi[0] - result.log_mass - gauge.psi0[0])
+        refined = last_center is not None and abs(center - last_center) < 1e-4
+        if not auto or refined:
+            break
         last_center = center
         radius *= 2.0
-    sol.meta["r_refined"] = False
-    sol.meta.setdefault("flags", []).append("disk_not_converged")
+    sol = to_solution(result)
+    sol.meta["r_refined"] = auto and refined
+    if auto and not refined:
+        sol.meta["flags"].append("disk_not_converged")
     return sol, result

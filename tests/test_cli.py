@@ -47,6 +47,17 @@ def test_solve_variational_backend(tmp_path, capsys):
     assert run("verify", out) == 0
 
 
+def test_variational_above_the_window_exits_one(tmp_path, capsys):
+    # regression: the minimizer returned a "converged" β = 2.5 profile that
+    # passed check_identities; no minimizer exists above β = n + 2 + n_pow,
+    # which rules out a minimizer, not a solution, so this is no verdict
+    out = tmp_path / "v.json"
+    assert run("solve", "--method", "variational", "--beta", 2.5,
+               "--potential", GAUSS, "--out", out) == 1
+    assert "n + 2 + n_pow = 2" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_find_reports_nonexistence_with_exit_two(capsys):
     assert run("find", "--beta", 2.5, "--n", 0, "--potential", GAUSS) == 2
     err = capsys.readouterr().err

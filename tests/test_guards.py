@@ -84,6 +84,37 @@ def test_module_has_no_unused_import(path):
     assert _unused_imports(path) == []
 
 
+def _unread_constants(path):
+    """Module-level UPPER_CASE names a source file assigns but never reads;
+    a name listed in ``__all__`` counts as read (an export)."""
+    tree = ast.parse(path.read_text())
+    assigned = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            name = getattr(target, "id", "")
+            if name.lstrip("_").isupper():
+                assigned[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in assigned.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_module_has_no_unread_constant(path):
+    # a setting that nothing reads is usually left behind by a deletion
+    assert _unread_constants(path) == []
+
+
 WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",
                   "Tabulated"}
 # shooting refuses the log-singular weight, which has no finite center value

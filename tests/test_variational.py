@@ -1,6 +1,7 @@
 """Gauged-energy minimization: gauge profile, energy/gradient, descent paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_minimize_gaussian_converges_and_matches_shooting():
     assert res.grad_norm < 1e-8
     trace = res.energy_trace
     assert all(b <= a for a, b in zip(trace, trace[1:]))
-    sol = to_solution(res, gz, V)
+    sol = to_solution(res)
     reference = solve_for_beta(V, 0.0, 1.0, (-3.0, 3.0))
     sup = compare_solutions(sol, reference, mode="sup_diff")["sup_diff"]
     assert sup < 1e-3
@@ -179,6 +180,29 @@ def test_minimize_borderline_coupling_flagged_or_unbounded():
         assert "infimum" in str(err)
     else:
         assert res.flags  # hypotheses-violated and/or non-convergence marker
+
+
+_RING_R = np.geomspace(1e-3, 200.0, 4000)
+RING = Tabulated(_RING_R, np.exp(-(_RING_R - 5.0) ** 2)
+                 + 1e-3 * np.exp(-_RING_R))
+
+
+@pytest.mark.parametrize("V, n, beta", [
+    (GAUSS, 0.0, 2.5), (GAUSS, 1.0, 3.5), (GAUSS, 0.0, 1000.0),
+    (RING, 1.0, 3.5)], ids=["gauss-n0-2.5", "gauss-n1-3.5", "gauss-n0-1000",
+                            "ring-n1-3.5"])
+def test_minimize_refuses_beta_above_the_window(V, n, beta):
+    # regression: above β = n + 2 + n_pow the energy is unbounded below, yet
+    # the Gaussian at β = 2.5 came back converged, β = 1000 gave a NaN
+    # profile with overflow warnings, and the ring returned whichever
+    # critical point its descent path reached
+    gz = build_gauge(beta, make_grid(12.0, 4096))
+    threshold = V.beta_window(n)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnergyUnboundedError,
+                           match=rf"n \+ 2 \+ n_pow = {threshold:g}\b"):
+            minimize(gz, V, n=n)
 
 
 def test_minimize_init_shape_checked():
@@ -260,7 +284,7 @@ def test_one_discretization_per_disk(monkeypatch):
     monkeypatch.setattr(variational, "_Discretization", Counting)
     gz = build_gauge(1.0, make_grid(8.0, 512))
     res = minimize(gz, GAUSS)
-    sol = to_solution(res, gz, GAUSS)
+    sol = to_solution(res)
     assert len(built) == 1
     assert sol.meta["log_mass"] == res.log_mass
 
@@ -271,7 +295,7 @@ def test_threshold_weight_two_profile_is_a_bubble():
     g = make_grid(30.0, 4096)
     gz = build_gauge(4.0, g)
     res = minimize(gz, Constant(1.0), n=2.0)
-    sol = to_solution(res, gz, Constant(1.0))
+    sol = to_solution(res)
     # fit λ* by matching the center value: ψ(0) = log(2/π) + 4 log λ
     lam = math.exp((float(sol.psi[0]) - math.log(2.0 / math.pi)) / 4.0)
     oracle = conformal_bubble(2, lam, g)
@@ -283,7 +307,7 @@ def test_to_solution_columns_are_exact_at_the_boundary():
     g = make_grid(12.0, 4096)
     gz = build_gauge(1.0, g)
     res = minimize(gz, V)
-    sol = to_solution(res, gz, V)
+    sol = to_solution(res)
     assert float(sol.mass[-1]) == pytest.approx(1.0, abs=1e-4)
     # flux at the rim: r ψ′(R⁻) = −2β M(R)
     assert float(sol.dpsi[-1]) == pytest.approx(-2.0 * sol.beta, abs=1e-3)
@@ -294,7 +318,7 @@ def test_to_solution_survives_identity_checks():
     V = PowerGauss(n_pow=0.0, gamma=0.5, alpha_exp=2.0)
     g = make_grid(12.0, 4096)
     gz = build_gauge(1.0, g)
-    sol = to_solution(minimize(gz, V), gz, V)
+    sol = to_solution(minimize(gz, V))
     rep = check_identities(sol)
     assert rep.mass_residual < 1e-4
     assert rep.flux_residual < 1e-3
