@@ -32,7 +32,7 @@ __all__ = ["cli", "main", "plot_svg", "SCAN_HEADER"]
 
 SCAN_HEADER = ["s", "beta", "beta_prime"]
 # the Controls fields a --config file may set
-_CONTROL_KEYS = ("abs_tol", "rel_tol", "r_max", "tail_rel_tol", "root_tol")
+_CONTROL_KEYS = ("abs_tol", "rel_tol", "tail_rel_tol", "root_tol")
 
 
 class NonexistenceVerdict(click.ClickException):
@@ -46,15 +46,18 @@ def _fmt(x):
     return f"{float(x):.6g}"
 
 
-def _parse_pair(text, what):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise click.UsageError(f"--{what} wants 'lo,hi', got {text!r}")
+def _numbers(text, option, count=None):
+    """The comma-separated numbers given to ``--option``: ``count`` of them
+    when it is set, else at least one."""
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise click.UsageError(f"--{what} wants two numbers, got {text!r}")
-    return lo, hi
+        values = []
+    if not values or count not in (None, len(values)):
+        want = ("a comma list of numbers" if count is None
+                else f"{count} comma-separated numbers")
+        raise click.UsageError(f"--{option} wants {want}, got {text!r}")
+    return values
 
 
 def _controls(config_path, **flags):
@@ -94,7 +97,7 @@ def _save(sol, out_path):
 def _shoot(V, n_exp, beta, bracket, controls):
     """solve_for_beta over the --bracket text; a nonexistence exits 2."""
     try:
-        return solve_for_beta(V, n_exp, beta, _parse_pair(bracket, "bracket"),
+        return solve_for_beta(V, n_exp, beta, _numbers(bracket, "bracket", 2),
                               controls)
     except NonexistenceError as err:
         raise NonexistenceVerdict(str(err))
@@ -158,7 +161,7 @@ def cli():
 @click.option("--bracket", default="-4,4", show_default=True,
               help="Initial ψ(0) bracket for the root search (shooting).")
 @click.option("--radius", type=float, default=None,
-              help="Disk radius (variational) / truncation radius override.")
+              help="Disk radius, variational only.")
 @_with_tolerances
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Output basename; writes .json and .csv.")
@@ -166,14 +169,17 @@ def solve(method, beta, n_exp, potential_spec, bracket, radius, abs_tol,
           rel_tol, config_path, out_path):
     """Produce a unit-mass solution and its identity report."""
     V = _potential_or_usage(potential_spec)
-    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol,
-                         r_max=radius)
+    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if method == "shooting":
+        if radius is not None:
+            raise click.UsageError(
+                "--radius is the variational disk radius; shooting extends "
+                "its truncation radius until the tail test passes")
         sol = _shoot(V, n_exp, beta, bracket, controls)
     else:
         if beta <= 0:
             raise click.UsageError("the variational backend needs beta > 0")
-        sol, _ = variational_solve(V, n_exp, beta, R=controls.r_max)
+        sol, _ = variational_solve(V, n_exp, beta, R=radius)
     report = check_identities(sol)
     _save(sol, out_path)
     click.echo(_summary(sol, report))
@@ -222,12 +228,9 @@ def scan(n_exp, potential_spec, s_range, points, s_list, sigma, abs_tol,
     V = _potential_or_usage(potential_spec)
     controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if s_list is not None:
-        try:
-            values = [float(v) for v in s_list.split(",") if v.strip()]
-        except ValueError:
-            raise click.UsageError(f"--s-list wants numbers, got {s_list!r}")
+        values = _numbers(s_list, "s-list")
     else:
-        lo, hi = _parse_pair(s_range, "s-range")
+        lo, hi = _numbers(s_range, "s-range", 2)
         if points < 2:
             raise click.UsageError("--points must be at least 2")
         values = np.linspace(lo, hi, points).tolist()
@@ -324,12 +327,9 @@ def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
             raise click.UsageError("--scan only applies to the onsager kind")
         if out_path is None:
             raise click.UsageError("--scan needs --out for the CSV table")
-        try:
-            temps = [float(v) for v in scan_list.split(",") if v.strip()]
-        except ValueError:
-            raise click.UsageError(f"--scan wants numbers, got {scan_list!r}")
         rows = onsager_temperature_scan(n_exp, gamma if gamma is not None
-                                        else 1.0, alpha_exp, temps, controls)
+                                        else 1.0, alpha_exp,
+                                        _numbers(scan_list, "scan"), controls)
         scan_rows_to_csv(rows, out_path)
         for row in rows:
             click.echo(f"beta_stat={_fmt(row.param)} -> {row.verdict}")
@@ -354,8 +354,8 @@ def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
     if isinstance(outcome, Verdict):
         if outcome.status == "nonexistence":
             raise NonexistenceVerdict(str(outcome))
-        click.echo(str(outcome))
-        return
+        # no solution and no nonexistence verdict (zero coupling)
+        raise click.ClickException(str(outcome))
     click.echo(_summary(outcome, report))
     if "window_note" in outcome.meta:
         click.echo(outcome.meta["window_note"])

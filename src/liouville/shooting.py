@@ -29,6 +29,8 @@ model ψ(t) ≈ ψ(r_max) + u(r_max)·log(t/r_max), leaving an O(tail²) error i
 truncation radius: its mass density per unit log r decays locally like
 e^{−λ log r}, so the radius where the tail fraction meets the tolerance
 follows in closed form (at least one doubling, at most ``_R_MAX_CAP``).
+Every returned trajectory has passed this tail test; one that has not by
+the cap is a ``MassDivergence``.
 
 A sweep over many centre values (``mass_map``) is integrated as one DOP853
 system whose state is stored component-major, (ψ₁…ψ_K, u…, φ…, w…): every
@@ -60,8 +62,7 @@ __all__ = [
 
 _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
 _PSI_CAP = 700.0          # clamp on every exponent; larger s is rejected
-_R_MAX_INIT = 64.0        # first truncation radius of an auto-r_max solve
-_R_MAX_CAP = 1e6          # auto-r_max extends up to this, then gives up
+_R_MAX_CAP = 1e6          # r_max extends up to this, then gives up
 _MAX_EXPAND = 10          # bracket expansions before a nonexistence verdict
 _MAX_ROOT_ITER = 80       # Newton/bisection steps after the bracket search
 
@@ -99,11 +100,15 @@ class PrecisionLimitError(ShootingError):
 @dataclass
 class Controls:
     """Integrator and root-finder settings that callers set (tolerances,
-    a fixed truncation radius, the output grid size)."""
+    the first truncation radius, the output grid size).
+
+    ``r_max`` only sets where the first segment ends: every trajectory is
+    extended past it until its tail fraction meets ``tail_rel_tol``.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    r_max: float = None          # fixed truncation radius; None = auto
+    r_max: float = 64.0          # first truncation radius
     tail_rel_tol: float = 1e-8   # stop when tail_mass/total < this
     root_tol: float = 1e-8       # |β(s*) − β_target|
     n_sample: int = 8192         # output grid size
@@ -111,7 +116,8 @@ class Controls:
 
 @dataclass
 class ShootResult:
-    """One raw trajectory: the mass-map summary plus its dense sampler.
+    """One raw trajectory that passed its tail test: the mass-map summary
+    plus its dense sampler.
 
     The output grid and the profile columns ``psi`` (ψ), ``dpsi`` (rψ′),
     ``phi`` (φ = ∂_s ψ) and ``dphi`` (rφ′) are built from the sampler on
@@ -125,7 +131,6 @@ class ShootResult:
     beta_prime_s: float  # tail-corrected β′(s)
     r_max: float
     tail_mass: float     # estimated ∫_{r_max}^∞ tⁿ⁺¹V e^ψ dt
-    converged: bool
     potential: object
     n_sample: int        # output grid size
     _sampler: object
@@ -367,31 +372,23 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
     samplers = {i: _Sampler((s_list[i], sigma, a, n_eff), x0)
                 for i, a in zip(active, coef)}
 
-    auto = c.r_max is None
-    r_target = _R_MAX_INIT if auto else float(c.r_max)
-    if r_target <= r0 * 2.0:
-        r_target = r0 * 4.0
-    x_target = math.log(r_target)
+    x_target = math.log(max(c.r_max, 4.0 * r0))
     x_cap = math.log(_R_MAX_CAP)
     x_cur = x0
     one = _batch_rhs(vs, k, sigma, 1)     # per-member density at a segment end
 
-    def result(i, y_end, tail_m, converged):
+    def result(i, y_end, tail_m):
         """ShootResult of member i, stopped at r_max = e^x_cur in state y_end."""
         psi_end, u_end, phi_end, w_end = y_end
         m_end = -sigma * u_end
-        if math.isfinite(tail_m):
-            tail_q = _tail_integral(V, n_eff, x_cur, psi_end, u_end, phi_end,
-                                    w_end)
-        else:
-            tail_m = tail_q = 0.0
+        tail_q = _tail_integral(V, n_eff, x_cur, psi_end, u_end, phi_end, w_end)
         beta = sigma * (m_end + tail_m) / 2.0
         w_inf = w_end - sigma * tail_q
         beta_prime = -w_inf / 2.0
         return ShootResult(
             s=float(s_list[i]), n=float(n), sigma=sigma, beta_s=float(beta),
             beta_prime_s=float(beta_prime), r_max=math.exp(x_cur),
-            tail_mass=float(tail_m), converged=converged, potential=V,
+            tail_mass=float(tail_m), potential=V,
             n_sample=c.n_sample, _sampler=samplers[i],
             diagnostics={"n_segments": len(samplers[i].pieces)})
 
@@ -434,10 +431,9 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
                 tail_m = _tail_integral(V, n_eff, x_cur, psi_end, u_end)
                 total = -sigma * u_end + tail_m
                 # a zero weight has no mass and no tail: done at once
-                converged = bool(tail_m / total < c.tail_rel_tol if total > 0.0
-                                 else tail_m == total == 0.0)
-                if converged or not auto:
-                    out[i] = result(i, yj, tail_m, converged)
+                if (tail_m / total < c.tail_rel_tol if total > 0.0
+                        else tail_m == total == 0.0):
+                    out[i] = result(i, yj, tail_m)
                 elif x_cur >= x_cap:
                     out[i] = MassDivergence(
                         f"mass did not converge at r_max = {_R_MAX_CAP:g} "

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville import applications
 from liouville.applications import (
     CSS,
     Onsager,
     SCAN_CSV_HEADER,
     SphericalOnsager,
     Verdict,
+    _scan_entry,
     css_scaling_check,
     make_app,
     onsager_temperature_scan,
@@ -21,7 +23,7 @@ from liouville.applications import (
     solve_app,
 )
 from liouville.potentials import PowerGauss, Sphere
-from liouville.shooting import Controls, NonexistenceError
+from liouville.shooting import Controls, NonexistenceError, ShootingError
 from liouville.solution import NormalizedSolution
 
 FOUR_PI = 4.0 * math.pi
@@ -295,3 +297,22 @@ def test_make_app():
 def test_verdict_renders_detail():
     v = Verdict("nonexistence", "outside", "requires x > y", detail="why")
     assert str(v) == "nonexistence (outside window): requires x > y — why"
+
+
+def test_boundary_window_solves_with_a_note():
+    # V ≡ 1 at n = 0 solves only β_eq = 2, the edge of its window
+    sol, report = solve_app(Onsager(0.0, 0.0, 2.0, -2 * FOUR_PI))
+    assert isinstance(sol, NormalizedSolution)
+    assert sol.meta["window_note"] == "boundary — theory silent or sharp"
+    assert report.mass_residual < 1e-6
+
+
+def test_scan_row_records_a_solver_error(monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise ShootingError("integrator failure: step collapsed")
+
+    monkeypatch.setattr(applications, "solve_for_beta", failing_solve)
+    row = _scan_entry(1.0, 1.0, 2.0, -FOUR_PI, None)
+    assert row.verdict == "error"
+    assert row.error == "ShootingError: integrator failure: step collapsed"
+    assert math.isnan(row.psi0)

@@ -193,6 +193,12 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert run("find", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 1
     assert "'root-tol'" in capsys.readouterr().err
+    # the truncation radius is no setting: every trajectory runs until its
+    # tail test passes
+    cfg.write_text("r_max=40\n")
+    assert run("find", "--beta", 1, "--potential", GAUSS,
+               "--config", cfg) == 1
+    assert "unknown key 'r_max'" in capsys.readouterr().err
 
 
 def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
@@ -243,3 +249,45 @@ def test_help_exits_zero(capsys):
     listed = capsys.readouterr().out
     for name in ("solve", "scan", "find", "verify", "oracle", "app", "plot"):
         assert name in listed
+
+
+def test_shooting_radius_is_a_usage_error(tmp_path, capsys):
+    # regression: --radius stopped every trajectory at r = 8 whether or not
+    # its tail test passed, and wrote a profile with a mass residual of 0.028
+    out = tmp_path / "s.json"
+    assert run("solve", "--method", "shooting", "--beta", 0.9,
+               "--potential", "sphere:l=-1,gamma=0", "--radius", 8,
+               "--out", out) == 1
+    assert "--radius" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def test_zero_coupling_exits_one(tmp_path, capsys):
+    # regression: the boundary verdict for β_eq = 0 exited 0 with no
+    # solution; it is neither a solution nor a nonexistence verdict
+    out = tmp_path / "z.json"
+    assert run("app", "onsager", "--beta-stat", 0, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "boundary" in err and "zero coupling" in err
+    assert not out.exists()
+
+
+def test_boundary_solve_prints_the_window_note(capsys):
+    # --gamma 0 makes V ≡ 1, whose only coupling β_eq = 2 is the window edge
+    assert run("app", "onsager", "--gamma", 0,
+               f"--beta-stat={-8 * math.pi!r}") == 0
+    out = capsys.readouterr().out
+    assert "beta=2 " in out
+    assert "boundary — theory silent or sharp" in out
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("solve", "--beta", 1, "--bracket", "1"), "--bracket"),
+    (("scan", "--s-list", "a,b"), "--s-list"),
+    (("app", "onsager", "--scan", "x"), "--scan"),
+], ids=["bracket", "s-list", "scan"])
+def test_malformed_number_list_exits_one(tmp_path, capsys, argv, option):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", out) == 1
+    assert f"{option} wants" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()

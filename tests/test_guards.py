@@ -1,7 +1,8 @@
-"""Structural guards: solver-free modules, no unused imports, no branching
-on the weight's type, and the traced benchmark's hooks and output."""
+"""Structural guards: solver-free modules, no unused imports or settings, no
+branching on the weight's type, and the traced benchmark's hooks and output."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import shutil
@@ -10,6 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from liouville.cli import _CONTROL_KEYS
+from liouville.shooting import Controls
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "liouville"
@@ -113,6 +117,31 @@ def _unread_constants(path):
 def test_module_has_no_unread_constant(path):
     # a setting that nothing reads is usually left behind by a deletion
     assert _unread_constants(path) == []
+
+
+def _attribute_reads(path, skip_class):
+    """Attribute names a source file reads, outside the class ``skip_class``."""
+    reads, stack = set(), [ast.parse(path.read_text())]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == skip_class:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def test_every_control_is_read_and_every_config_key_is_a_control():
+    # a Controls field that nothing reads is a knob left behind by a
+    # deletion; a config key that is no field could not be set.  A field
+    # counts as read when its name is read as an attribute anywhere in the
+    # package outside the class
+    fields = {f.name for f in dataclasses.fields(Controls)}
+    reads = set().union(*(_attribute_reads(path, "Controls")
+                          for path in PACKAGE.glob("*.py")))
+    assert sorted(fields - reads) == []
+    assert sorted(set(_CONTROL_KEYS) - fields) == []
 
 
 WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",

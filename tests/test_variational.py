@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from liouville import variational
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble
-from liouville.potentials import Constant, PowerGauss, Tabulated
+from liouville.potentials import Constant, PowerGauss, Sphere, Tabulated
 from liouville.shooting import solve_for_beta
 from liouville.variational import (
     EnergyUnboundedError, build_gauge, energy, minimize, to_solution,
@@ -350,3 +350,22 @@ def test_variational_solve_auto_disk():
     assert sol.r_max <= 96.0
     reference = solve_for_beta(V, 0.0, 1.0, (-3.0, 3.0))
     assert float(sol.psi[0]) == pytest.approx(float(reference.psi[0]), abs=1e-3)
+
+
+def test_auto_disk_that_never_settles_is_flagged():
+    # the sphere's r⁻² weight leaves ψ(0) moving by more than 1e-4 at every
+    # doubling: the last disk, R = 96, is returned and flagged
+    sol, _ = variational_solve(Sphere(-1.0, 0.0), 0.0, 0.9)
+    assert sol.r_max == 96.0
+    assert not sol.meta["r_refined"]
+    assert "disk_not_converged" in sol.meta["flags"]
+
+
+def test_threshold_coupling_on_a_disk_is_flagged_not_converged():
+    # β = n + 2 + n_pow = 4 for r²·e^{−r/2}: the centre value climbs while
+    # the gradient never meets its tolerance
+    V = PowerGauss(n_pow=2.0, gamma=0.5, alpha_exp=1.0)
+    sol, res = variational_solve(V, 0.0, 4.0, R=12.0)
+    assert not res.converged
+    assert "not_converged" in sol.meta["flags"]
+    assert "existence_hypotheses_violated" in sol.meta["flags"]
