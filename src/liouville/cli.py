@@ -118,6 +118,8 @@ def _summary(sol, report=None):
     if report is not None:
         bits += [f"mass_residual={_fmt(report.mass_residual)}",
                  f"flux_residual={_fmt(report.flux_residual)}"]
+    if sol.meta.get("flags"):
+        bits.append("flags=" + ",".join(sol.meta["flags"]))
     return "  ".join(bits)
 
 

@@ -104,11 +104,9 @@ class Potential:
         """2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞."""
         return beta > self.beta_window(n)[0] + delta
 
-    def positivity_annulus(self):
-        """(C, R1, R2) with V ≥ C > 0 on R1 < r < R2, or None; the base
-        samples [0.5, 2]."""
-        c = float(np.min(self.value(np.linspace(0.5, 2.0, 33))))
-        return (c, 0.5, 2.0) if c > 0 else None
+    def has_positivity_annulus(self):
+        """V > 0 on some annulus R1 < r < R2; the base samples [0.5, 2]."""
+        return bool(np.min(self.value(np.linspace(0.5, 2.0, 33))) > 0)
 
     def descriptor(self):
         raise NotImplementedError
@@ -253,10 +251,8 @@ class LogSingular(Potential):
         # β+δ ≤ n
         return beta + delta <= n
 
-    def positivity_annulus(self):
-        a = self.alpha_cut
-        rs = np.linspace(0.25 * a, 0.75 * a, 33)
-        return (float(np.min(self.value(rs))), 0.25 * a, 0.75 * a)
+    def has_positivity_annulus(self):
+        return True     # V > 0 on 0 < r ≤ alpha_cut
 
     def descriptor(self):
         return f"logsing:alpha={self.alpha_cut!r}"
@@ -317,18 +313,10 @@ class Tabulated(Potential):
             dv[past] = p * v[past] / r[past]
         return v, dv
 
-    def positivity_annulus(self):
-        pos = self.values > 0
-        if not np.any(pos):
-            return None
-        i0 = int(np.argmax(pos))
-        i1 = len(pos) - int(np.argmax(pos[::-1])) - 1
-        lo, hi = self.radii[i0], self.radii[i1]
-        if hi <= lo:
-            return None
-        mask = (self.radii >= lo) & (self.radii <= hi)
-        c = float(np.min(self.values[mask][self.values[mask] > 0], initial=np.inf))
-        return (c, float(lo), float(hi)) if np.isfinite(c) else None
+    def has_positivity_annulus(self):
+        """At least two positive nodes; V is taken as positive between the
+        first and the last of them."""
+        return bool(np.count_nonzero(self.values > 0) >= 2)
 
     def descriptor(self):
         return f"table={self.path}" if self.path else "table=<inline>"
@@ -406,7 +394,7 @@ def check_conditions(V, beta, delta, n=0.0):
         origin_integral_ok=bool(V.origin_integrable(beta, delta, n)),
         infinity_integral_ok=bool(V.infinity_integrable(beta, delta, n)),
         vminus_integral_ok=True,
-        positivity_annulus_ok=V.positivity_annulus() is not None,
+        positivity_annulus_ok=V.has_positivity_annulus(),
         approximate=V.sampled)
 
 

@@ -47,6 +47,22 @@ def test_solve_variational_backend(tmp_path, capsys):
     assert run("verify", out) == 0
 
 
+@pytest.mark.parametrize("argv, printed", [
+    (("--method", "variational", "--beta", 0.9,
+      "--potential", "sphere:l=-1,gamma=0"), "flags=disk_not_converged"),
+    (("--beta", 1, "--potential", GAUSS), None)],
+    ids=["sphere-variational", "gauss-default"])
+def test_solve_prints_its_flags(tmp_path, capsys, argv, printed):
+    # regression: the sphere's auto disk never settles and the profile was
+    # written with that flag in its JSON, yet the console said nothing
+    assert run("solve", *argv, "--out", tmp_path / "s.json") == 0
+    console = capsys.readouterr().out
+    if printed is None:
+        assert "flags=" not in console
+    else:
+        assert printed in console.split()
+
+
 def test_variational_above_the_window_exits_one(tmp_path, capsys):
     # regression: the minimizer returned a "converged" β = 2.5 profile that
     # passed check_identities; no minimizer exists above β = n + 2 + n_pow,
