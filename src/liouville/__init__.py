@@ -9,8 +9,7 @@ raw samples.  `applications` maps the point-vortex, spherical-flow, and
 Chern–Simons presets onto the core (β, n, V) problem.
 """
 
-from .applications import (CSS, Onsager, SphericalOnsager, Verdict,
-                           css_scaling_check, make_app,
+from .applications import (CSS, Onsager, SphericalOnsager, css_scaling_check,
                            onsager_temperature_scan, scan_rows_to_csv,
                            solve_app)
 from .grids import Grid, make_grid
@@ -32,8 +31,8 @@ from .verify import (IdentityReport, check_identities, compare_solutions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSS", "Onsager", "SphericalOnsager", "Verdict", "css_scaling_check",
-    "make_app", "onsager_temperature_scan", "scan_rows_to_csv", "solve_app",
+    "CSS", "Onsager", "SphericalOnsager", "css_scaling_check",
+    "onsager_temperature_scan", "scan_rows_to_csv", "solve_app",
     "Grid", "make_grid",
     "bubble_lambda_from_raw_center", "bubble_raw_center", "conformal_bubble",
     "sharp_regularity_example",

@@ -3,10 +3,12 @@ self-dual Chern–Simons–Schrödinger Landau levels, each reduced to a
 (β, n, V) mean-field problem for the core solver.
 
 Each preset's existence window is the `Potential.beta_window` of its weight
-at the preset's exponent n_eq.  `solve_app` evaluates the window, runs the
-shooting backend when the theory allows (or on the boundary, where it stays
-silent), and attaches a full identity report to every produced solution.
-Each verdict states the preset's inequality and then the window's edges:
+at the preset's exponent n_eq.  `solve_app` evaluates the window and runs
+the shooting backend when the theory allows (or on the boundary, where it
+stays silent); it returns the solution alone and leaves `check_identities`
+to the caller.  A nonexistence, from the window or from the solver, is a
+`NonexistenceError` whose message states the preset's inequality and then
+the window's edges:
 
   Onsager            n > β_eq − 2,  β_eq = −β_stat/(4π)  (γ > 0; for γ = 0,
                      V ≡ 1, the window is empty and β_eq = n + 2 the edge)
@@ -27,12 +29,10 @@ import numpy as np
 
 from .potentials import PowerGauss, Sphere
 from .shooting import NonexistenceError, ShootingError, solve_for_beta
-from .verify import check_identities
 
 __all__ = [
-    "Onsager", "SphericalOnsager", "CSS", "Verdict", "ScanRow",
-    "solve_app", "css_scaling_check", "onsager_temperature_scan",
-    "scan_rows_to_csv", "make_app",
+    "Onsager", "SphericalOnsager", "CSS", "ScanRow", "solve_app",
+    "css_scaling_check", "onsager_temperature_scan", "scan_rows_to_csv",
 ]
 
 SCAN_CSV_HEADER = ["param", "verdict", "psi0", "mass_inner", "beta_eq"]
@@ -142,52 +142,36 @@ class CSS(_Preset):
                 f"{self.n_eq:g} vs beta - 2 = {self.beta - 2.0:g}")
 
 
-def make_app(kind, **params):
-    kinds = {"onsager": Onsager, "sphere": SphericalOnsager, "css": CSS}
-    if kind not in kinds:
-        raise ValueError(f"unknown application kind {kind!r}; "
-                         f"expected one of {sorted(kinds)}")
-    return kinds[kind](**params)
-
-
-@dataclass
-class Verdict:
-    status: str          # "nonexistence" or "boundary"
-    window: str          # the window classification that led here
-    inequality: str      # the defining inequality, with numbers
-    detail: str = ""
-
-    def __str__(self):
-        msg = f"{self.status} ({self.window} window): {self.inequality}"
-        return msg + (f" — {self.detail}" if self.detail else "")
-
-
 _BOUNDARY_NOTE = "boundary — theory silent or sharp"
 
 
 def solve_app(spec, controls=None):
     """Evaluate the window, then solve by shooting when allowed.
 
-    Returns (NormalizedSolution, IdentityReport) on success, otherwise
-    (Verdict, None).  Boundary windows are attempted anyway and annotated.
-    Solver failures other than a nonexistence detection propagate.
+    Returns the NormalizedSolution.  Raises NonexistenceError outside the
+    window, without solving, and when the solver finds no solution; the
+    message names the window and the preset's inequality.  Boundary windows
+    are attempted anyway and annotated.  Zero coupling raises ValueError;
+    other solver failures propagate.
     """
     window, ineq = spec.window()
     if window == "outside":
-        return Verdict("nonexistence", window, ineq), None
+        raise NonexistenceError(f"nonexistence (outside window): {ineq}")
     if window == "boundary" and spec.beta_eq == 0.0:
-        return Verdict("boundary", window, ineq,
-                       detail="zero coupling: the problem degenerates"), None
+        raise ValueError(f"boundary (boundary window): {ineq} — zero "
+                         f"coupling: the problem degenerates")
     try:
         sol = solve_for_beta(spec.potential(), spec.n_eq, spec.beta_eq,
                              _BRACKET, controls)
     except NonexistenceError as err:
         detail = _BOUNDARY_NOTE if window == "boundary" else str(err)
-        return Verdict("nonexistence", window, ineq, detail=detail), None
+        raise NonexistenceError(
+            f"nonexistence ({window} window): {ineq} — {detail}",
+            beta_range=err.beta_range, s_range=err.s_range) from err
     if window == "boundary":
         sol.meta["window_note"] = _BOUNDARY_NOTE
     sol.meta["application"] = spec.__class__.__name__
-    return sol, check_identities(sol)
+    return sol
 
 
 def _trichotomy(n_int, beta):
@@ -213,8 +197,8 @@ def css_scaling_check(n_int, beta, B1, B2, controls=None):
         w, ineq = s.window()
         if w != "inside":
             raise NonexistenceError(f"scaling check needs the window: {ineq}")
-    sol1, _ = solve_app(spec1, controls)
-    sol2, _ = solve_app(spec2, controls)
+    sol1 = solve_app(spec1, controls)
+    sol2 = solve_app(spec2, controls)
     ratio = B2 / B1
     shift = (n_int + 1.0) * math.log(ratio)
     scaled = math.sqrt(ratio) * sol2.r
@@ -249,20 +233,20 @@ def _scan_entry(n, gamma, alpha_exp, beta_stat, controls):
     row = ScanRow(param=float(beta_stat), verdict="", psi0=math.nan,
                   mass_inner=math.nan, beta_eq=spec.beta_eq)
     try:
-        outcome, _ = solve_app(spec, controls)
+        sol = solve_app(spec, controls)
+    except NonexistenceError as err:
+        # boundary windows report as boundary even when the attempted solve
+        # came back empty-handed; the message keeps the underlying story
+        row.verdict = ("boundary" if spec.window()[0] == "boundary"
+                       else "nonexistence")
+        row.error = str(err)
+        return row
     except ShootingError as err:
         row.verdict = "error"
         row.error = f"{type(err).__name__}: {err}"
         return row
-    if isinstance(outcome, Verdict):
-        # boundary windows report as boundary even when the attempted solve
-        # came back empty-handed; detail keeps the underlying story
-        row.verdict = "boundary" if outcome.window == "boundary" \
-            else outcome.status
-        row.error = outcome.detail
-        return row
-    row.psi0 = float(outcome.psi[0])
-    row.mass_inner = _mass_within(outcome, 0.1)
+    row.psi0 = float(sol.psi[0])
+    row.mass_inner = _mass_within(sol, 0.1)
     row.concentration = (row.psi0 > _PSI0_CONCENTRATED
                          and row.mass_inner > _INNER_MASS_CONCENTRATED)
     row.verdict = "concentration" if row.concentration else "solved"
@@ -272,6 +256,9 @@ def _scan_entry(n, gamma, alpha_exp, beta_stat, controls):
 def onsager_temperature_scan(n, gamma, alpha_exp, beta_stat_list,
                              controls=None):
     """Per-temperature solve/verdict table; rows keep the input order.
+
+    A zero temperature is zero coupling and raises ValueError, as a single
+    solve does.
 
     The concentration flag is the numerical proxy for the vanishing-
     temperature Dirac-mass limit: a huge center value with essentially all

@@ -2,8 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 on success, 2 when the outcome
 is a nonexistence verdict (the theory rules the requested solution out), 1 on
-any other failure including usage mistakes.  Console numbers are rounded to
-6 significant digits; files always carry full double precision.
+any other failure including usage mistakes.  Commands let errors propagate
+and `main` alone maps them to exit codes: a `NonexistenceError` from any
+command exits 2.  Console numbers are rounded to 6 significant digits; files
+always carry full double precision.
 
 Potentials are given as one-line descriptors, e.g. ``gauss:gamma=1,alpha=2``
 or ``table=weights.csv``; `Controls` defaults may be collected in a flat
@@ -17,8 +19,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .applications import (Verdict, make_app, onsager_temperature_scan,
-                           scan_rows_to_csv, solve_app)
+from .applications import (CSS, Onsager, SphericalOnsager,
+                           onsager_temperature_scan, scan_rows_to_csv,
+                           solve_app)
 from .grids import make_grid
 from .oracles import conformal_bubble, sharp_regularity_example
 from .potentials import parse_potential
@@ -33,12 +36,6 @@ __all__ = ["cli", "main", "plot_svg", "SCAN_HEADER"]
 SCAN_HEADER = ["s", "beta", "beta_prime"]
 # the Controls fields a --config file may set
 _CONTROL_KEYS = ("abs_tol", "rel_tol", "tail_rel_tol", "root_tol")
-
-
-class NonexistenceVerdict(click.ClickException):
-    """Terminates the command with the dedicated exit status 2."""
-
-    exit_code = 2
 
 
 def _fmt(x):
@@ -92,15 +89,6 @@ def _save(sol, out_path):
     """Write the solution's .json and .csv files and say so."""
     jpath = sol.save(out_path)
     click.echo(f"wrote {jpath} + {jpath.with_suffix('.csv').name}")
-
-
-def _shoot(V, n_exp, beta, bracket, controls):
-    """solve_for_beta over the --bracket text; a nonexistence exits 2."""
-    try:
-        return solve_for_beta(V, n_exp, beta, _numbers(bracket, "bracket", 2),
-                              controls)
-    except NonexistenceError as err:
-        raise NonexistenceVerdict(str(err))
 
 
 def _potential_or_usage(spec):
@@ -177,7 +165,8 @@ def solve(method, beta, n_exp, potential_spec, bracket, radius, abs_tol,
             raise click.UsageError(
                 "--radius is the variational disk radius; shooting extends "
                 "its truncation radius until the tail test passes")
-        sol = _shoot(V, n_exp, beta, bracket, controls)
+        sol = solve_for_beta(V, n_exp, beta,
+                             _numbers(bracket, "bracket", 2), controls)
     else:
         if beta <= 0:
             raise click.UsageError("the variational backend needs beta > 0")
@@ -200,8 +189,9 @@ def find(beta, n_exp, potential_spec, bracket, abs_tol, rel_tol, config_path,
          out_path):
     """Root-find ψ(0) for a target β; exit 2 if no solution can exist."""
     V = _potential_or_usage(potential_spec)
-    sol = _shoot(V, n_exp, beta, bracket,
-                 _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol))
+    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
+    sol = solve_for_beta(V, n_exp, beta, _numbers(bracket, "bracket", 2),
+                         controls)
     click.echo(_summary(sol, check_identities(sol)))
     if out_path:
         _save(sol, out_path)
@@ -340,29 +330,24 @@ def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
     if kind == "onsager":
         if beta_stat is None:
             raise click.UsageError("onsager needs --beta-stat (or --scan)")
-        spec = make_app("onsager", n=n_exp,
-                        gamma=gamma if gamma is not None else 1.0,
-                        alpha_exp=alpha_exp, beta_stat=beta_stat)
+        spec = Onsager(n=n_exp, gamma=gamma if gamma is not None else 1.0,
+                       alpha_exp=alpha_exp, beta_stat=beta_stat)
     elif kind == "sphere":
         if l_exp is None or beta is None:
             raise click.UsageError("sphere needs --l and --beta")
-        spec = make_app("sphere", n=n_exp, l=l_exp,
-                        gamma=gamma if gamma is not None else 0.0, beta=beta)
+        spec = SphericalOnsager(n=n_exp, l=l_exp,
+                                gamma=gamma if gamma is not None else 0.0,
+                                beta=beta)
     else:
         if n_int is None or beta is None:
             raise click.UsageError("css needs --n-int and --beta")
-        spec = make_app("css", n_int=n_int, beta=beta, B=b_field)
-    outcome, report = solve_app(spec, controls)
-    if isinstance(outcome, Verdict):
-        if outcome.status == "nonexistence":
-            raise NonexistenceVerdict(str(outcome))
-        # no solution and no nonexistence verdict (zero coupling)
-        raise click.ClickException(str(outcome))
-    click.echo(_summary(outcome, report))
-    if "window_note" in outcome.meta:
-        click.echo(outcome.meta["window_note"])
+        spec = CSS(n_int=n_int, beta=beta, B=b_field)
+    sol = solve_app(spec, controls)
+    click.echo(_summary(sol, check_identities(sol)))
+    if "window_note" in sol.meta:
+        click.echo(sol.meta["window_note"])
     if out_path:
-        _save(outcome, out_path)
+        _save(sol, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +502,15 @@ def main(argv=None):
     except click.UsageError as err:
         err.show()
         return 1
-    except click.ClickException as err:           # includes exit-code-2 verdicts
+    except click.ClickException as err:
         err.show()
         return err.exit_code
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
+    except NonexistenceError as err:              # the one exit-2 path
+        click.echo(f"Error: {err}", err=True)
+        return 2
     except (ShootingError, EnergyUnboundedError, ValueError, OSError) as err:
         click.echo(f"error: {err}", err=True)
         return 1

@@ -531,8 +531,9 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     never accepted, since a map that saturates toward the target drifts
     inside any tolerance.  Otherwise the bracket is expanded to a sign
     change and ``_root_search`` finds the root by bracketed Newton on the
-    exact tail-corrected β′(s).  A result whose evaluated map both rises
-    and falls is flagged ``multiple_roots_possible``.
+    exact tail-corrected β′(s).  A result is flagged
+    ``multiple_roots_possible`` when one evaluated trajectory has
+    β′ > ``root_tol`` and another β′ < −``root_tol``.
     """
     c = controls or Controls()
     if beta_target == 0.0:
@@ -572,7 +573,9 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     out.meta["beta_target"] = beta_target
     # trajectories after the bracket search: Newton and bisection steps
     out.meta["root_iterations"] = len(evaluated) - n_bracket
-    if _non_monotone(evaluated):
+    slopes = [res.beta_prime_s for res in evaluated.values() if res is not None]
+    if (any(d > c.root_tol for d in slopes)
+            and any(d < -c.root_tol for d in slopes)):
         out.meta["flags"] = ["multiple_roots_possible"]
     return out
 
@@ -619,12 +622,3 @@ def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
     raise ShootingError(
         f"beta root did not converge in {_MAX_ROOT_ITER} iterations "
         f"(bracket [{s_lo:g}, {s_hi:g}])")
-
-
-def _non_monotone(evaluated, jitter=1e-9):
-    """β over the evaluated s, in order of s, both rises and falls."""
-    betas = [evaluated[s].beta_s for s in sorted(evaluated)
-             if evaluated[s] is not None]
-    up = any(b2 > b1 + jitter for b1, b2 in zip(betas, betas[1:]))
-    down = any(b2 < b1 - jitter for b1, b2 in zip(betas, betas[1:]))
-    return up and down

@@ -326,7 +326,7 @@ def to_solution(m):
     return NormalizedSolution(
         beta=gauge.beta, n=disc.n, psi=psi, dpsi=dpsi, mass=mass, grid=grid,
         potential=V,
-        tolerances={"grad_tol": m.grad_norm, "profile_tol": 1e-3},
+        tolerances={"grad_tol": _GRAD_TOL, "profile_tol": 1e-3},
         residuals={"el_grad_norm": m.grad_norm,
                    "energy": m.energy, "dirichlet": m.dirichlet},
         meta={"method": "variational", "R": grid.r_max,

@@ -83,7 +83,7 @@ def accepted_solutions(gauss_sol, conformal_sol, negative_pair,
         sols.append((f"bubble s={s:g}",
                      integrate_ivp(Constant(1.0), 0.0, s).to_normalized()))
     for b_field in (1.0, 4.0):
-        sol, _ = solve_app(CSS(n_int=1, beta=2.0, B=b_field))
+        sol = solve_app(CSS(n_int=1, beta=2.0, B=b_field))
         sols.append((f"css B={b_field:g}", sol))
     return sols
 

@@ -14,10 +14,8 @@ from liouville.applications import (
     Onsager,
     SCAN_CSV_HEADER,
     SphericalOnsager,
-    Verdict,
     _scan_entry,
     css_scaling_check,
-    make_app,
     onsager_temperature_scan,
     scan_rows_to_csv,
     solve_app,
@@ -25,6 +23,7 @@ from liouville.applications import (
 from liouville.potentials import PowerGauss, Sphere
 from liouville.shooting import Controls, NonexistenceError, ShootingError
 from liouville.solution import NormalizedSolution
+from liouville.verify import check_identities
 
 FOUR_PI = 4.0 * math.pi
 
@@ -134,45 +133,50 @@ def test_sphere_window_matches_inequality(n, l, beta):
 
 
 def test_css_winding_one_solves_with_unit_mass():
-    sol, report = solve_app(CSS(n_int=1, beta=2.0, B=1.0))
+    sol = solve_app(CSS(n_int=1, beta=2.0, B=1.0))
     assert isinstance(sol, NormalizedSolution)
     assert sol.beta == pytest.approx(2.0, abs=1e-6)
     assert sol.mass_error() < 1e-6
-    assert report.mass_residual < 1e-6
+    assert check_identities(sol).mass_residual < 1e-6
     assert sol.meta["application"] == "CSS"
 
 
 def test_css_winding_zero_gets_nonexistence_verdict():
-    verdict, report = solve_app(CSS(n_int=0, beta=2.0, B=1.0))
-    assert isinstance(verdict, Verdict)
-    assert verdict.status == "nonexistence"
-    assert report is None
-    assert "2*n_int" in verdict.inequality
-    assert str(verdict).startswith("nonexistence")
+    # β = 2 is the edge of the n_int = 0 window: the solve is attempted and
+    # its nonexistence keeps the solver's ranges
+    with pytest.raises(NonexistenceError,
+                       match=r"^nonexistence \(boundary window\): requires "
+                             r"2\*n_int > beta - 2: .* — boundary — theory "
+                             r"silent or sharp$") as info:
+        solve_app(CSS(n_int=0, beta=2.0, B=1.0))
+    assert isinstance(info.value.__cause__, NonexistenceError)
+    assert info.value.beta_range == info.value.__cause__.beta_range
+    assert info.value.s_range == info.value.__cause__.s_range
 
 
 def test_spherical_onsager_inside_solves():
-    sol, report = solve_app(SphericalOnsager(n=0.0, l=-1.0, gamma=0.0,
-                                             beta=1.0))
+    sol = solve_app(SphericalOnsager(n=0.0, l=-1.0, gamma=0.0, beta=1.0))
     assert isinstance(sol, NormalizedSolution)
     assert sol.beta == pytest.approx(1.0, abs=1e-6)
-    assert report.pokhozhaev_residual < 1e-6
+    assert check_identities(sol).pokhozhaev_residual < 1e-6
     assert "window_note" not in sol.meta
 
 
-def test_spherical_onsager_outside_is_immediate():
-    verdict, report = solve_app(SphericalOnsager(n=0.0, l=-1.0, gamma=0.0,
-                                                 beta=3.0))
-    assert verdict.status == "nonexistence"
-    assert verdict.window == "outside"
-    assert report is None
+def test_spherical_onsager_outside_is_immediate(monkeypatch):
+    monkeypatch.setattr(applications, "solve_for_beta", None)
+    with pytest.raises(NonexistenceError,
+                       match=r"^nonexistence \(outside window\): requires "
+                             r"n \+ 2 \+ 2l < beta < n \+ 2: beta = 3; "
+                             r"window \(0, 2\)$"):
+        solve_app(SphericalOnsager(n=0.0, l=-1.0, gamma=0.0, beta=3.0))
 
 
-def test_zero_coupling_is_boundary_without_solving():
-    verdict, report = solve_app(Onsager(1.0, 1.0, 2.0, 0.0))
-    assert verdict.status == "boundary"
-    assert "degenerates" in verdict.detail
-    assert report is None
+def test_zero_coupling_is_boundary_without_solving(monkeypatch):
+    monkeypatch.setattr(applications, "solve_for_beta", None)
+    with pytest.raises(ValueError,
+                       match=r"^boundary \(boundary window\): .* — zero "
+                             r"coupling: the problem degenerates$"):
+        solve_app(Onsager(1.0, 1.0, 2.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +238,7 @@ def test_scan_statuses_follow_window():
     assert rows[0].beta_eq == pytest.approx(1.0)
     assert rows[1].beta_eq == pytest.approx(-1.0)   # negative coupling
     assert math.isnan(rows[2].psi0)
+    assert rows[2].error.startswith("nonexistence (outside window): ")
     assert not any(r.concentration for r in rows)
 
 
@@ -286,25 +291,12 @@ def test_css_rejects_bad_winding_and_field():
         CSS(n_int=1, beta=2.0, B=0.0)
 
 
-def test_make_app():
-    assert make_app("css", n_int=1, beta=2.0, B=1.0) == CSS(1, 2.0, 1.0)
-    assert make_app("onsager", n=1.0, gamma=1.0, alpha_exp=2.0,
-                    beta_stat=-FOUR_PI) == Onsager(1.0, 1.0, 2.0, -FOUR_PI)
-    with pytest.raises(ValueError, match="unknown application kind"):
-        make_app("vortex")
-
-
-def test_verdict_renders_detail():
-    v = Verdict("nonexistence", "outside", "requires x > y", detail="why")
-    assert str(v) == "nonexistence (outside window): requires x > y — why"
-
-
 def test_boundary_window_solves_with_a_note():
     # V ≡ 1 at n = 0 solves only β_eq = 2, the edge of its window
-    sol, report = solve_app(Onsager(0.0, 0.0, 2.0, -2 * FOUR_PI))
+    sol = solve_app(Onsager(0.0, 0.0, 2.0, -2 * FOUR_PI))
     assert isinstance(sol, NormalizedSolution)
     assert sol.meta["window_note"] == "boundary — theory silent or sharp"
-    assert report.mass_residual < 1e-6
+    assert check_identities(sol).mass_residual < 1e-6
 
 
 def test_scan_row_records_a_solver_error(monkeypatch):

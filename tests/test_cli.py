@@ -80,6 +80,14 @@ def test_find_reports_nonexistence_with_exit_two(capsys):
     assert "existence window beta in (-inf, 2)" in err
 
 
+def test_solve_reports_nonexistence_with_exit_two(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run("solve", "--method", "shooting", "--beta", 2.5,
+               "--potential", GAUSS, "--out", out) == 2
+    assert "existence window beta in (-inf, 2)" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_find_success_prints_summary(capsys):
     assert run("find", "--beta", 1, "--potential", GAUSS) == 0
     out = capsys.readouterr().out
@@ -285,6 +293,14 @@ def test_zero_coupling_exits_one(tmp_path, capsys):
     assert run("app", "onsager", "--beta-stat", 0, "--out", out) == 1
     err = capsys.readouterr().err
     assert "boundary" in err and "zero coupling" in err
+    assert not out.exists()
+
+
+def test_zero_temperature_in_a_scan_exits_one(tmp_path, capsys):
+    # a zero temperature is zero coupling, refused as in a single solve
+    out = tmp_path / "t.csv"
+    assert run("app", "onsager", "--scan=0,-12.566", "--out", out) == 1
+    assert "zero coupling" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -415,17 +415,24 @@ def test_solve_for_beta_on_a_table_matches_the_weight_it_samples():
     assert abs(sol.meta["s_star"] - ref.meta["s_star"]) <= 1e-5
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP items 2 and 3: beta(s) of the table "
-                          "jitters at the 1e-6 level, which _non_monotone "
-                          "reads as a fold")
 def test_monotone_table_is_not_flagged_multiple_roots():
-    # the table samples (1 + r²)⁻², whose mass map is monotone: the sphere
-    # it samples solves β = 0.5 unflagged
+    # regression: the table samples (1 + r²)⁻², whose mass map is monotone,
+    # but its β(s) jitters at the 1e-6 level, which a fold test on
+    # differences of β read as a fold
     r = np.geomspace(1e-3, 1e3, 241)
     table = Tabulated(r, (1.0 + r * r) ** -2.0)
     sol = solve_for_beta(table, 0.0, 0.5, (-4.0, 4.0))
     assert "multiple_roots_possible" not in sol.meta.get("flags", [])
+
+
+def test_ring_weight_fold_is_flagged_multiple_roots():
+    # a ring of weight at r = 5 over a faint core: β(s) rises to a peak and
+    # falls again, so the root found need not be the only one
+    r = np.geomspace(1e-3, 200.0, 4000)
+    ring = Tabulated(r, np.exp(-(r - 5.0) ** 2) + 1e-3 * np.exp(-r))
+    sol = solve_for_beta(ring, 0.0, 5.0, (-8.0, 12.0), Controls(root_tol=1e-6))
+    assert sol.meta["s_star"] == pytest.approx(1.1367, abs=1e-3)
+    assert sol.meta["flags"] == ["multiple_roots_possible"]
 
 
 def test_root_iterations_count_only_root_steps():

@@ -329,6 +329,7 @@ def test_to_solution_columns_are_exact_at_the_boundary():
     gz = build_gauge(1.0, g)
     res = minimize(gz, V)
     sol = to_solution(res)
+    assert sol.tolerances["grad_tol"] == variational._GRAD_TOL
     assert float(sol.mass[-1]) == pytest.approx(1.0, abs=1e-4)
     # flux at the rim: r ψ′(R⁻) = −2β M(R)
     assert float(sol.dpsi[-1]) == pytest.approx(-2.0 * sol.beta, abs=1e-3)

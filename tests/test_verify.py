@@ -112,7 +112,7 @@ def test_report_serialization(gaussian_sol, tmp_path):
 
 @pytest.mark.parametrize("solve", [
     lambda: solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0)),
-    lambda: solve_app(CSS(1, 2.0, B=1.0))[0],
+    lambda: solve_app(CSS(1, 2.0, B=1.0)),
     lambda: solve_for_beta(Sphere(-1.0, 0.0), 0.0, 1.2, (-4.0, 4.0)),
 ], ids=["gauss", "css", "sphere"])
 def test_pokhozhaev_crosscheck_reads_the_simpson_integrals(solve):
