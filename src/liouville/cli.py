@@ -150,27 +150,21 @@ def cli():
               show_default=True, help="Descriptor name:key=val,...")
 @click.option("--bracket", default="-4,4", show_default=True,
               help="Initial ψ(0) bracket for the root search (shooting).")
-@click.option("--radius", type=float, default=None,
-              help="Disk radius, variational only.")
 @_with_tolerances
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Output basename; writes .json and .csv.")
-def solve(method, beta, n_exp, potential_spec, bracket, radius, abs_tol,
-          rel_tol, config_path, out_path):
+def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
+          config_path, out_path):
     """Produce a unit-mass solution and its identity report."""
     V = _potential_or_usage(potential_spec)
     controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if method == "shooting":
-        if radius is not None:
-            raise click.UsageError(
-                "--radius is the variational disk radius; shooting extends "
-                "its truncation radius until the tail test passes")
         sol = solve_for_beta(V, n_exp, beta,
                              _numbers(bracket, "bracket", 2), controls)
     else:
         if beta <= 0:
             raise click.UsageError("the variational backend needs beta > 0")
-        sol, _ = variational_solve(V, n_exp, beta, R=radius)
+        sol, _ = variational_solve(V, n_exp, beta)
     report = check_identities(sol)
     _save(sol, out_path)
     click.echo(_summary(sol, report))

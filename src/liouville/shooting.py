@@ -72,7 +72,8 @@ class ShootingError(RuntimeError):
 
 
 class MassDivergence(ShootingError):
-    """The trajectory's mass blows up (or fails to converge by the cap)."""
+    """The mass of a trajectory, or past a variational disk, blows up or
+    fails to converge by the cap."""
 
 
 class NonexistenceError(ShootingError):

@@ -51,6 +51,8 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.special import logsumexp
 
 from .grids import Grid, make_grid
+from .shooting import (_R_MAX_CAP, Controls, MassDivergence, _tail_integral,
+                       _tail_step)
 from .solution import NormalizedSolution
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
 
 
 _N_NODES = 4096            # grid nodes per disk
+_R_FIRST = 12.0            # radius of the first disk
 _MAX_ITER = 500            # L-BFGS-B iteration cap after a Newton stall
 _GRAD_TOL = 1e-8           # sup-norm of the gradient at convergence
 _NEWTON_ITER = 120         # step cap of each damped Newton run
@@ -326,35 +329,46 @@ def to_solution(m):
     return NormalizedSolution(
         beta=gauge.beta, n=disc.n, psi=psi, dpsi=dpsi, mass=mass, grid=grid,
         potential=V,
-        tolerances={"grad_tol": _GRAD_TOL, "profile_tol": 1e-3},
+        tolerances={"grad_tol": _GRAD_TOL},
         residuals={"el_grad_norm": m.grad_norm,
                    "energy": m.energy, "dirichlet": m.dirichlet},
-        meta={"method": "variational", "R": grid.r_max,
-              "flags": list(m.flags), "log_mass": m.log_mass,
-              "iterations": m.iterations})
+        meta={"method": "variational", "flags": list(m.flags),
+              "log_mass": m.log_mass, "iterations": m.iterations})
 
 
-def variational_solve(V, n, beta, R=None):
-    """Convenience driver: build gauge + minimize (+ optional auto-R).
+def variational_solve(V, n, beta):
+    """Build the gauge and minimize on disks grown by shooting's
+    truncation rule.
 
-    With R=None the disk doubles from 12 until ψ(0) moves by < 1e−4
-    (at most three doublings).
+    The first disk has radius 12.  After each solve the frozen-slope tail
+    past R, from ψ̃(R) and rψ̃′(R) = −2β, must hold less than
+    ``Controls.tail_rel_tol`` of the unit mass; otherwise the disk jumps
+    to the radius where that tail is predicted to meet it, up to r = 10⁶.
+    A tail that is negative, not finite or still too large at that cap
+    raises ``MassDivergence``.  Returns (solution, minimize result).
     """
-    auto = R is None
-    radius = 12.0 if auto else float(R)
-    last_center = None
-    for _ in range(4):
+    tol = Controls.tail_rel_tol
+    n_eff = n + float(V.n_pow)
+    radius = _R_FIRST
+    while True:
         gauge = build_gauge(beta, make_grid(radius, _N_NODES))
         result = minimize(gauge, V, n=n)
-        # ψ(0) as to_solution assembles it
-        center = float(result.phi[0] - result.log_mass - gauge.psi0[0])
-        refined = last_center is not None and abs(center - last_center) < 1e-4
-        if not auto or refined:
+        # ψ̃(R) as to_solution assembles it, with φ(R) = 0
+        psi_end = -result.log_mass - float(gauge.psi0[-1])
+        tail = 2.0 * math.pi * _tail_integral(V, n_eff, math.log(radius),
+                                              psi_end, -2.0 * beta)
+        if 0.0 <= tail < tol:
             break
-        last_center = center
-        radius *= 2.0
+        if not 0.0 <= tail < math.inf or radius >= _R_MAX_CAP:
+            raise MassDivergence(
+                f"mass did not converge on the disk r_max = {radius:g} "
+                f"(tail fraction {tail:.3g})")
+        density = 2.0 * math.pi * radius ** (n_eff + 2.0) \
+            * V.smooth_scalar(radius) * math.exp(psi_end)
+        x_next = math.log(radius) + _tail_step(density, tail, 1.0, tol)
+        radius = (_R_MAX_CAP if x_next >= math.log(_R_MAX_CAP)
+                  else math.exp(x_next))
     sol = to_solution(result)
-    sol.meta["r_refined"] = auto and refined
-    if auto and not refined:
-        sol.meta["flags"].append("disk_not_converged")
+    sol.residuals["tail_mass_fraction"] = tail
+    sol.tolerances["tail_rel_tol"] = tol
     return sol, result

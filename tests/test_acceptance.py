@@ -68,7 +68,7 @@ def negative_pair():
 
 @pytest.fixture(scope="module")
 def variational_pair():
-    return variational_solve(GAUSS, 0.0, 1.0, R=12.0)
+    return variational_solve(GAUSS, 0.0, 1.0)
 
 
 @pytest.fixture(scope="module")

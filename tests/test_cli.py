@@ -42,19 +42,23 @@ def test_solve_writes_verifiable_files(tmp_path, capsys):
 def test_solve_variational_backend(tmp_path, capsys):
     out = tmp_path / "v.json"
     assert run("solve", "--method", "variational", "--beta", 1,
-               "--potential", GAUSS, "--radius", 12, "--out", out) == 0
+               "--potential", GAUSS, "--out", out) == 0
     assert "r_max=12" in capsys.readouterr().out
     assert run("verify", out) == 0
 
 
 @pytest.mark.parametrize("argv, printed", [
+    (("--method", "variational", "--beta", 2,
+      "--potential", "sphere:l=0,gamma=0"),
+     "flags=existence_hypotheses_violated"),
     (("--method", "variational", "--beta", 0.9,
-      "--potential", "sphere:l=-1,gamma=0"), "flags=disk_not_converged"),
+      "--potential", "sphere:l=-1,gamma=0"), None),
     (("--beta", 1, "--potential", GAUSS), None)],
-    ids=["sphere-variational", "gauss-default"])
+    ids=["sphere-variational", "sphere-variational-inside", "gauss-default"])
 def test_solve_prints_its_flags(tmp_path, capsys, argv, printed):
-    # regression: the sphere's auto disk never settles and the profile was
-    # written with that flag in its JSON, yet the console said nothing
+    # regression: a flagged profile was written with its flags in the JSON,
+    # yet the console said nothing.  The constant weight at its threshold
+    # β = 2 is flagged; the sphere inside its window is not
     assert run("solve", *argv, "--out", tmp_path / "s.json") == 0
     console = capsys.readouterr().out
     if printed is None:
@@ -277,12 +281,25 @@ def test_help_exits_zero(capsys):
 
 def test_shooting_radius_is_a_usage_error(tmp_path, capsys):
     # regression: --radius stopped every trajectory at r = 8 whether or not
-    # its tail test passed, and wrote a profile with a mass residual of 0.028
+    # its tail test passed, and wrote a profile with a mass residual of 0.028.
+    # Both backends now grow their truncation radius by the tail test, and
+    # solve has no --radius option
     out = tmp_path / "s.json"
-    assert run("solve", "--method", "shooting", "--beta", 0.9,
-               "--potential", "sphere:l=-1,gamma=0", "--radius", 8,
-               "--out", out) == 1
-    assert "--radius" in capsys.readouterr().err
+    for method in ("shooting", "variational"):
+        assert run("solve", "--method", method, "--beta", 0.9,
+                   "--potential", "sphere:l=-1,gamma=0", "--radius", 8,
+                   "--out", out) == 1
+        assert "--radius" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def test_variational_mass_no_disk_holds_exits_one(tmp_path, capsys):
+    # regression: a constant weight has finite-mass solutions only at β = 2,
+    # yet the ψ(0) doubling rule wrote a β = 1 "solution" and exited 0
+    out = tmp_path / "c.json"
+    assert run("solve", "--method", "variational", "--beta", 1,
+               "--potential", "const:c=1", "--out", out) == 1
+    assert "mass did not converge" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
 

@@ -12,7 +12,7 @@ from liouville import variational
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble
 from liouville.potentials import Constant, PowerGauss, Sphere, Tabulated
-from liouville.shooting import solve_for_beta
+from liouville.shooting import Controls, MassDivergence, solve_for_beta
 from liouville.variational import (
     EnergyUnboundedError, build_gauge, energy, minimize, to_solution,
     variational_solve,
@@ -229,21 +229,22 @@ def test_rough_init_is_not_called_unbounded(amplitude):
     assert float(np.max(np.abs(res.phi - minimize(gz, GAUSS).phi))) < 1e-6
 
 
-def _count_lbfgs(monkeypatch):
+def _count(monkeypatch, name):
+    """Record the calls that ``variational`` makes to its global ``name``."""
     calls = []
-    lbfgs = variational.scipy_minimize
+    counted = getattr(variational, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return lbfgs(*args, **kwargs)
+        return counted(*args, **kwargs)
 
-    monkeypatch.setattr(variational, "scipy_minimize", counting)
+    monkeypatch.setattr(variational, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("n, beta", [(0.0, 1.0), (1.0, 2.5)])
 def test_newton_alone_converges_subcritical_solves(monkeypatch, n, beta):
-    calls = _count_lbfgs(monkeypatch)
+    calls = _count(monkeypatch, "scipy_minimize")
     _, res = variational_solve(GAUSS, n, beta)
     assert calls == []
     assert res.converged
@@ -252,7 +253,7 @@ def test_newton_alone_converges_subcritical_solves(monkeypatch, n, beta):
 
 def test_lbfgs_rescues_a_newton_stall(monkeypatch):
     # β = n + 2 with a constant weight: Newton alone runs into its step cap
-    calls = _count_lbfgs(monkeypatch)
+    calls = _count(monkeypatch, "scipy_minimize")
     res = minimize(build_gauge(4.0, make_grid(12.0, 4096)), Constant(1.0),
                    n=2.0)
     assert len(calls) == 1
@@ -348,30 +349,67 @@ def test_to_solution_survives_identity_checks():
     assert rep.log_lip_ok and rep.grad_bound_ok
 
 
-def test_variational_solve_auto_disk():
+def test_variational_solve_auto_disk(monkeypatch):
+    # the Gaussian's tail past the first disk is far below tail_rel_tol, so
+    # one disk is solved; the ψ(0) doubling rule solved two
+    calls = _count(monkeypatch, "minimize")
     V = PowerGauss(n_pow=0.0, gamma=0.5, alpha_exp=2.0)
     sol, res = variational_solve(V, 0.0, 1.0)
     assert res.converged
-    assert sol.meta["r_refined"]
-    assert sol.r_max <= 96.0
+    assert sol.r_max == 12.0
+    assert len(calls) == 1
     reference = solve_for_beta(V, 0.0, 1.0, (-3.0, 3.0))
     assert float(sol.psi[0]) == pytest.approx(float(reference.psi[0]), abs=1e-3)
 
 
-def test_auto_disk_that_never_settles_is_flagged():
-    # the sphere's r⁻² weight leaves ψ(0) moving by more than 1e-4 at every
-    # doubling: the last disk, R = 96, is returned and flagged
-    sol, _ = variational_solve(Sphere(-1.0, 0.0), 0.0, 0.9)
-    assert sol.r_max == 96.0
-    assert not sol.meta["r_refined"]
-    assert "disk_not_converged" in sol.meta["flags"]
+@pytest.mark.parametrize("l", [-1.5, -1.0, -0.5])
+def test_sphere_family_disk_holds_its_mass(l):
+    # V = (1+r²)^l, β = 2 + l has ψ̃ = −(2+l)·log(1+r²) − log π; its mass
+    # past R is 1/(1+R²), so the disk must grow far past 12.  Regression:
+    # the ψ(0) doubling rule stopped at R = 96, up to 1.3e-3 off
+    beta = 2.0 + l
+    sol, _ = variational_solve(Sphere(l, 0.0), 0.0, beta)
+    inside = sol.r < 10.0
+    exact = -beta * np.log1p(sol.r[inside] ** 2) - math.log(math.pi)
+    assert float(np.max(np.abs(sol.psi[inside] - exact))) <= 1e-4
+    assert sol.meta["flags"] == []
+
+
+def test_constant_weight_off_its_only_coupling_is_mass_divergence():
+    # a constant weight has finite-mass solutions only at β = 2 (Chen & Li
+    # 1991): at β = 1 no disk holds the mass
+    with pytest.raises(MassDivergence, match="r_max"):
+        variational_solve(Constant(1.0), 0.0, 1.0)
+
+
+_TAIL_WEIGHTS = {
+    "gauss": GAUSS,
+    "gauss-npow2": PowerGauss(2.0, 0.5, 1.0),
+    "sphere-1": Sphere(-1.0, 0.0),
+    "sphere-2": Sphere(-2.0, 0.5),
+    "table": Tabulated(_TABLE_R, (1.0 + _TABLE_R * _TABLE_R) ** -2.0),
+}
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.75])
+@pytest.mark.parametrize("n", [0.0, 1.0], ids=["n0", "n1"])
+@pytest.mark.parametrize("V", _TAIL_WEIGHTS.values(), ids=_TAIL_WEIGHTS.keys())
+def test_every_returned_disk_passed_its_tail_test(V, n, frac):
+    # β half and three quarters into the positive part of the window.  Lower
+    # β leaves the sphere a tail ∝ R^{−2β} that no disk up to 10⁶ holds
+    lo, hi = V.beta_window(n)
+    lo = max(lo, 0.0)
+    sol, _ = variational_solve(V, n, lo + frac * (hi - lo))
+    tol = Controls.tail_rel_tol
+    assert sol.tolerances["tail_rel_tol"] == tol
+    assert 0.0 <= sol.residuals["tail_mass_fraction"] < tol
 
 
 def test_threshold_coupling_on_a_disk_is_flagged_not_converged():
     # β = n + 2 + n_pow = 4 for r²·e^{−r/2}: the centre value climbs while
     # the gradient never meets its tolerance
     V = PowerGauss(n_pow=2.0, gamma=0.5, alpha_exp=1.0)
-    sol, res = variational_solve(V, 0.0, 4.0, R=12.0)
+    sol, res = variational_solve(V, 0.0, 4.0)
     assert not res.converged
     assert "not_converged" in sol.meta["flags"]
     assert "existence_hypotheses_violated" in sol.meta["flags"]

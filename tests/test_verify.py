@@ -127,7 +127,7 @@ def test_pokhozhaev_crosscheck_takes_the_cutoff_jump():
     # V drops from V(α⁻) to 0 at α = 0.5, so P jumps by about −5 on a scale
     # of 6; the integral form without the jump would miss it by ~0.8
     V = LogSingular(0.5)
-    sol, res = variational_solve(V, 2.0, 1.0, R=12.0)
+    sol, res = variational_solve(V, 2.0, 1.0)
     assert res.converged
     assert pokhozhaev_P(sol, V)["max_crosscheck_diff"] < 1e-4
 
