@@ -157,11 +157,15 @@ def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
           config_path, out_path):
     """Produce a unit-mass solution and its identity report."""
     V = _potential_or_usage(potential_spec)
-    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if method == "shooting":
+        controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
         sol = solve_for_beta(V, n_exp, beta,
                              _numbers(bracket, "bracket", 2), controls)
     else:
+        for flag, value in (("--abs-tol", abs_tol), ("--rel-tol", rel_tol),
+                            ("--config", config_path)):
+            if value is not None:
+                raise click.UsageError(f"the variational backend takes no {flag}")
         if beta <= 0:
             raise click.UsageError("the variational backend needs beta > 0")
         sol, _ = variational_solve(V, n_exp, beta)
@@ -361,8 +365,7 @@ def _floatable(text):
         return False
 
 
-def plot_svg(csv_path, columns=None, out_path=None, log_x=False,
-             x_column=None):
+def plot_svg(csv_path, out_path, columns=None, log_x=False, x_column=None):
     """Render CSV columns as a line chart; identical input → identical bytes.
 
     The SVG is assembled from fixed-precision coordinates with no timestamps
@@ -476,7 +479,7 @@ def plot_cmd(csv_file, x_col, y_cols, log_x, out_path):
     columns = ([c.strip() for c in y_cols.split(",") if c.strip()]
                if y_cols else None)
     try:
-        written = plot_svg(csv_file, columns, out_path, log_x=log_x,
+        written = plot_svg(csv_file, out_path, columns, log_x=log_x,
                            x_column=x_col)
     except ValueError as err:
         raise click.ClickException(str(err))

@@ -3,9 +3,9 @@
 Every profile in this suite is radial and sampled on nodes spaced uniformly
 in log r over (0, r_max].  The smallest node r0 is strictly positive
 (singular weights may not be evaluable at r = 0), so each consumer treats
-the cell [0, r0] with its own local model.  A grid also carries composite
-trapezoid weights over [r0, r_max] for the callers that lump or integrate
-node samples.
+the cell [0, r0] with its own local model.  A grid is its nodes alone:
+r_max is the last node, and a caller that lumps or integrates node samples
+builds its own quadrature from them.
 """
 
 from dataclasses import dataclass
@@ -23,39 +23,24 @@ MIN_NODES = 16
 
 @dataclass(frozen=True)
 class Grid:
-    """A strictly increasing radial mesh 0 < r0 < ... < r_{N-1} = r_max.
-
-    ``weights`` are composite trapezoid weights over [r0, r_max]; they do
-    not include the origin cell [0, r0].
-    """
+    """A strictly increasing radial mesh 0 < r0 < ... < r_{N-1} = r_max."""
 
     nodes: np.ndarray
-    weights: np.ndarray
-    r_max: float
-    grading: str      # "log" from make_grid; a loaded grid keeps its label
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
         if not np.all(np.diff(self.nodes) > 0) or self.nodes[0] <= 0:
             raise ValueError("grid nodes must be strictly increasing and positive")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-            raise ValueError("grid weights must be finite and non-negative")
 
     @property
     def n_nodes(self):
         return self.nodes.size
 
-
-def _trapezoid_weights(nodes):
-    """Composite trapezoid weights w with Σ w_i f_i ≈ ∫ f over [r0, r_max]."""
-    w = np.zeros_like(nodes)
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
+    @property
+    def r_max(self):
+        return float(self.nodes[-1])
 
 
 def make_grid(r_max, n_nodes):
@@ -71,5 +56,4 @@ def make_grid(r_max, n_nodes):
 
     nodes = np.geomspace(LOG_FLOOR * r_max, r_max, n_nodes)
     nodes[-1] = r_max  # guard against geomspace round-off at the endpoint
-    return Grid(nodes=nodes, weights=_trapezoid_weights(nodes), r_max=float(r_max),
-                grading="log")
+    return Grid(nodes)

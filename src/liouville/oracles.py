@@ -51,8 +51,6 @@ def conformal_bubble(n_fam, lam, grid):
     return NormalizedSolution(
         beta=beta, n=2.0 * (n - 1.0), psi=psi, dpsi=dpsi, mass=mass,
         grid=grid, potential=Constant(1.0),
-        residuals={"mass_error": float(1.0 / (1.0 + t[-1])),
-                   "flux_error": 0.0},
         meta={"oracle": "conformal_bubble", "n_fam": n, "lambda": float(lam)})
 
 
@@ -81,7 +79,6 @@ def sharp_regularity_example(alpha_cut, grid):
     sol = NormalizedSolution(
         beta=beta, n=0.0, psi=psi, dpsi=dpsi, mass=mass, grid=grid,
         potential=V,
-        residuals={"mass_error": 0.0, "flux_error": 0.0},
         meta={"oracle": "sharp_regularity", "alpha_cut": a})
     return V, sol
 

@@ -120,9 +120,9 @@ class ShootResult:
     """One raw trajectory that passed its tail test: the mass-map summary
     plus its dense sampler.
 
-    The output grid and the profile columns ``psi`` (ψ), ``dpsi`` (rψ′),
-    ``phi`` (φ = ∂_s ψ) and ``dphi`` (rφ′) are built from the sampler on
-    first access, so callers that read only β(s) and β′(s) never sample.
+    The output grid and the profile columns ``psi`` (ψ), ``dpsi`` (rψ′) and
+    ``phi`` (φ = ∂_s ψ) are built from the sampler on first access, so
+    callers that read only β(s) and β′(s) never sample.
     """
 
     s: float
@@ -148,7 +148,6 @@ class ShootResult:
     psi = property(lambda self: self._columns[0])
     dpsi = property(lambda self: self._columns[1])
     phi = property(lambda self: self._columns[2])
-    dphi = property(lambda self: self._columns[3])
 
     def sample(self, r):
         """(ψ, rψ′, φ, rφ′) at arbitrary radii (series + dense interpolants)."""

@@ -5,16 +5,17 @@ A NormalizedSolution holds node samples of the shifted profile ψ̃ solving
     −Δψ̃ = 4πβ rⁿ V e^{ψ̃}  on ℝ²,      ∫_{ℝ²} rⁿ V e^{ψ̃} dx = 1,
 
 together with r ψ̃′ and the cumulative mass M(r) = ∫_{D(0,r)} rⁿ V e^{ψ̃} dx.
-Two invariants tie the columns together and are checked on demand:
+Two invariants tie the columns together; ``verify.check_identities``
+checks them from the columns and the weight alone:
 
     M(r_max) = 1          (total mass),
     r ψ̃′(r) = −2β M(r)   (flux identity at every node).
 
 On disk a solution is a pair of sibling files: ``name.json`` carrying the
-scalar header (beta, n, potential descriptor, r_max, tolerances, residual
-summary) and ``name.csv`` carrying the profile with the exact column header
-``r,psi,r_dpsi,mass``.  The split keeps the bulk data directly consumable by
-plotting tools and spreadsheets.
+scalar header (beta, n, potential descriptor, r_max, tolerances, the
+producer's residuals under ``residual_summary``) and ``name.csv`` carrying
+the profile with the exact column header ``r,psi,r_dpsi,mass``.  The split
+keeps the bulk data directly consumable by plotting tools and spreadsheets.
 """
 
 import json
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .grids import Grid, _trapezoid_weights
+from .grids import Grid
 from .potentials import parse_potential
 
 CSV_HEADER = ["r", "psi", "r_dpsi", "mass"]
@@ -64,25 +65,11 @@ class NormalizedSolution:
     def r_max(self):
         return self.grid.r_max
 
-    def mass_error(self):
-        """|M(r_max) − 1|."""
-        return abs(float(self.mass[-1]) - 1.0)
-
-    def flux_error(self):
-        """max over nodes of |r ψ̃′ + 2β M| / (1 + |β|)."""
-        resid = np.abs(self.dpsi + 2.0 * self.beta * self.mass)
-        return float(np.max(resid)) / (1.0 + abs(self.beta))
-
     def psi_at(self, r):
         """Monotone cubic interpolation of ψ̃ in log r."""
         interp = PchipInterpolator(np.log(self.grid.nodes), self.psi,
                                    extrapolate=True)
         return interp(np.log(np.maximum(np.asarray(r, dtype=float), 1e-300)))
-
-    def residual_summary(self):
-        out = {"mass_error": self.mass_error(), "flux_error": self.flux_error()}
-        out.update(self.residuals)
-        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -98,10 +85,9 @@ class NormalizedSolution:
             "potential": (self.potential.descriptor()
                           if self.potential is not None else None),
             "r_max": self.r_max,
-            "grading": self.grid.grading,
             "n_nodes": self.grid.n_nodes,
             "tolerances": dict(self.tolerances),
-            "residual_summary": _jsonable(self.residual_summary()),
+            "residual_summary": _jsonable(self.residuals),
             "csv": cpath.name,
             "meta": _jsonable(self.meta),
         }
@@ -133,10 +119,6 @@ class NormalizedSolution:
         if not any(lines):
             raise ValueError(f"{cpath}: no rows")
         data = np.loadtxt(lines, delimiter=",", usecols=range(4), ndmin=2)
-        nodes = data[:, 0]
-        weights = _trapezoid_weights(nodes)
-        grid = Grid(nodes=nodes, weights=weights, r_max=float(nodes[-1]),
-                    grading=header.get("grading", "loaded"))
         pot = None
         if header.get("potential"):
             try:
@@ -145,7 +127,7 @@ class NormalizedSolution:
                 pot = None  # descriptor may reference a moved table file
         return cls(beta=float(header["beta"]), n=float(header["n"]),
                    psi=data[:, 1], dpsi=data[:, 2], mass=data[:, 3],
-                   grid=grid, potential=pot,
+                   grid=Grid(data[:, 0]), potential=pot,
                    tolerances=dict(header.get("tolerances", {})),
                    residuals=dict(header.get("residual_summary", {})),
                    meta=dict(header.get("meta", {})))

@@ -114,8 +114,7 @@ class _Discretization:
     when ∫W₁e^φ is not positive (outside the admissible class)."""
 
     def __init__(self, gauge, V, n):
-        grid = gauge.grid
-        r = grid.nodes
+        r = gauge.grid.nodes
         self.gauge = gauge
         self.V = V
         self.r = r
@@ -124,12 +123,17 @@ class _Discretization:
         h = np.diff(r)
         # ½∫|∇φ|² = Σ c_i (φ_{i+1} − φ_i)²,   c_i = π(r_i + r_{i+1})/(2 h_i)
         self.c = math.pi * (r[:-1] + r[1:]) / (2.0 * h)
+        # composite trapezoid weights over [r₀, R]; the origin cell is extra
+        weights = np.zeros_like(r)
+        weights[:-1] += 0.5 * h
+        weights[1:] += 0.5 * h
+        self.weights = weights
 
         w1 = r ** self.n * V.value(r) * np.exp(-gauge.psi0)
         # the cell [0, r₀] under W₁ ~ r^{n+n_pow}, with φ frozen at φ(r₀)
         self.origin_cell = 2.0 * math.pi * w1[0] * r[0] ** 2 \
             / (self.n + float(V.n_pow) + 2.0)
-        mu = 2.0 * math.pi * grid.weights * w1 * r
+        mu = 2.0 * math.pi * weights * w1 * r
         mu[0] += self.origin_cell
         if not np.any(mu > 0.0):
             raise ValueError(
@@ -138,7 +142,7 @@ class _Discretization:
         with np.errstate(divide="ignore"):
             self.log_mu = np.log(mu)
 
-        nu = 2.0 * math.pi * grid.weights * gauge.f * r
+        nu = 2.0 * math.pi * weights * gauge.f * r
         nu[0] += 2.0 * math.pi * gauge.f[0] * r[0] ** 2 / 2.0
         total = nu.sum()
         target = -4.0 * math.pi * gauge.beta

@@ -136,7 +136,7 @@ def test_css_winding_one_solves_with_unit_mass():
     sol = solve_app(CSS(n_int=1, beta=2.0, B=1.0))
     assert isinstance(sol, NormalizedSolution)
     assert sol.beta == pytest.approx(2.0, abs=1e-6)
-    assert sol.mass_error() < 1e-6
+    assert abs(sol.mass[-1] - 1.0) < 1e-6
     assert check_identities(sol).mass_residual < 1e-6
     assert sol.meta["application"] == "CSS"
 

@@ -293,6 +293,22 @@ def test_shooting_radius_is_a_usage_error(tmp_path, capsys):
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--abs-tol", "1e-6"), ("--rel-tol", "1e-6"), ("--config", None)])
+def test_variational_refuses_shooting_tolerances(tmp_path, capsys, flag,
+                                                  value):
+    # regression: the variational backend parsed these and then ignored
+    # them; a config with tail_rel_tol=1e-3 exited 0 and stored 1e-8
+    if value is None:
+        value = tmp_path / "c.cfg"
+        value.write_text("tail_rel_tol=1e-3\n")
+    out = tmp_path / "v.json"
+    assert run("solve", "--method", "variational", "--beta", 1,
+               "--potential", GAUSS, flag, value, "--out", out) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_variational_mass_no_disk_holds_exits_one(tmp_path, capsys):
     # regression: a constant weight has finite-mass solutions only at β = 2,
     # yet the ψ(0) doubling rule wrote a β = 1 "solution" and exited 0

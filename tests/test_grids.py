@@ -1,10 +1,12 @@
 """Log-graded radial grid checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liouville.grids import LOG_FLOOR, make_grid
+from liouville.grids import LOG_FLOOR, Grid, make_grid
 
 
 def test_log_grading_resolves_origin():
@@ -33,6 +35,13 @@ def test_grid_invariants_hold_for_any_shape(r_max, n):
     assert g.nodes[-1] == pytest.approx(r_max, rel=1e-12)
     assert np.all(np.diff(g.nodes) > 0)
     assert np.all(g.nodes > 0)
-    assert np.all(g.weights >= 0)
-    # weights sum to the covered span
-    assert g.weights.sum() == pytest.approx(g.nodes[-1] - g.nodes[0], rel=1e-9)
+
+
+def test_grid_is_its_nodes():
+    # regression: Grid also stored r_max, trapezoid weights and a grading
+    # label, and accepted r_max = 7 on nodes ending at 2
+    assert [f.name for f in dataclasses.fields(Grid)] == ["nodes"]
+    g = Grid([1.0, 2.0])
+    assert g.r_max == 2.0 and g.n_nodes == 2
+    with pytest.raises(ValueError, match="increasing"):
+        Grid([2.0, 1.0])

@@ -36,10 +36,11 @@ def _imported_modules(path):
 
 
 @pytest.mark.parametrize("name", ["verify", "grids", "solution",
-                                  "potentials"])
+                                  "potentials", "oracles"])
 def test_module_imports_no_solver(name):
-    # verify.py is an independent check of the solvers' output; the others
-    # are layers the solvers build on
+    # verify.py is an independent check of the solvers' output, oracles.py
+    # the closed forms the tests compare them with; the others are layers
+    # the solvers build on
     assert not _imported_modules(PACKAGE / f"{name}.py") & SOLVERS
 
 

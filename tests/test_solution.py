@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -44,3 +45,17 @@ def test_load_rejects_bad_header_and_empty_profile(tmp_path):
     cpath.write_text("r,psi,r_dpsi,mass\r\n\r\n")
     with pytest.raises(ValueError, match="no rows"):
         NormalizedSolution.load(jpath)
+
+
+def test_resave_writes_the_loaded_residuals(tmp_path):
+    # regression: save recomputed mass and flux errors from the columns and
+    # let the loaded summary override them, so a halved mass column was
+    # re-saved with the old mass_error of 6.2e-4.  The residuals are the
+    # producer's; verify.check_identities recomputes them from the data
+    sol = conformal_bubble(1.0, 2.0, make_grid(20.0, 256))
+    back = NormalizedSolution.load(sol.save(tmp_path / "bubble.json"))
+    back.mass *= 0.5
+    jpath = back.save(tmp_path / "halved.json")
+    summary = json.loads(jpath.read_text())["residual_summary"]
+    assert summary == back.residuals
+    assert "mass_error" not in summary

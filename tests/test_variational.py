@@ -54,9 +54,21 @@ def test_gauge_source_integrates_to_minus_4_pi_beta(beta):
     # the trapezoid rule's O(h²) error (9.4e-6 here)
     gz = build_gauge(beta, make_grid(12.0, 4096))
     r = gz.grid.nodes
-    total = 2.0 * math.pi * (np.dot(gz.grid.weights, gz.f * r)
+    weights = variational._Discretization(gz, Constant(1.0), 0.0).weights
+    total = 2.0 * math.pi * (np.dot(weights, gz.f * r)
                              + gz.f[0] * r[0] ** 2 / 2.0)
     assert total == pytest.approx(-4.0 * math.pi * beta, rel=1e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r_max=st.floats(0.1, 100.0), n=st.integers(16, 400))
+def test_lumping_weights_cover_the_span(r_max, n):
+    # the trapezoid weights over [r₀, R] are non-negative and sum to R − r₀
+    g = make_grid(r_max, n)
+    weights = variational._Discretization(
+        build_gauge(1.0, g), Constant(1.0), 0.0).weights
+    assert np.all(weights >= 0)
+    assert weights.sum() == pytest.approx(g.nodes[-1] - g.nodes[0], rel=1e-9)
 
 
 def test_gauge_source_supported_inside_unit_disk():
