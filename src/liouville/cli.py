@@ -148,8 +148,9 @@ def cli():
               help="Extra radial weight exponent n in rⁿV.")
 @click.option("--potential", "potential_spec", default="const:c=1",
               show_default=True, help="Descriptor name:key=val,...")
-@click.option("--bracket", default="-4,4", show_default=True,
-              help="Initial ψ(0) bracket for the root search (shooting).")
+@click.option("--bracket", default=None,
+              help="Initial ψ(0) bracket for the root search, shooting "
+                   "only.  [default: -4,4]")
 @_with_tolerances
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Output basename; writes .json and .csv.")
@@ -159,11 +160,11 @@ def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
     V = _potential_or_usage(potential_spec)
     if method == "shooting":
         controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
-        sol = solve_for_beta(V, n_exp, beta,
-                             _numbers(bracket, "bracket", 2), controls)
+        ends = _numbers("-4,4" if bracket is None else bracket, "bracket", 2)
+        sol = solve_for_beta(V, n_exp, beta, ends, controls)
     else:
         for flag, value in (("--abs-tol", abs_tol), ("--rel-tol", rel_tol),
-                            ("--config", config_path)):
+                            ("--config", config_path), ("--bracket", bracket)):
             if value is not None:
                 raise click.UsageError(f"the variational backend takes no {flag}")
         if beta <= 0:

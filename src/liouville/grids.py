@@ -43,17 +43,24 @@ class Grid:
         return float(self.nodes[-1])
 
 
-def make_grid(r_max, n_nodes):
+def make_grid(r_max, n_nodes, r_first=None):
     """Build a log-graded radial grid on (0, r_max].
 
-    Nodes are spaced geometrically from LOG_FLOOR·r_max up to r_max, so at
-    least 25% of them land below r_max/100 and resolve the origin.
+    Nodes are spaced geometrically from ``r_first`` up to r_max.  The first
+    node defaults to LOG_FLOOR·r_max, so that at least 25% of the nodes land
+    below r_max/100 and resolve the origin; a caller that knows where its
+    profile leaves its value at the origin passes that radius instead, and
+    the first node no longer moves with r_max.
     """
     if not (r_max > 0) or not np.isfinite(r_max):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if n_nodes < MIN_NODES:
         raise ValueError(f"n_nodes must be at least {MIN_NODES}, got {n_nodes}")
+    if r_first is None:
+        r_first = LOG_FLOOR * r_max
+    if not 0.0 < r_first < r_max:
+        raise ValueError(f"first node must lie in (0, r_max), got {r_first}")
 
-    nodes = np.geomspace(LOG_FLOOR * r_max, r_max, n_nodes)
+    nodes = np.geomspace(r_first, r_max, n_nodes)
     nodes[-1] = r_max  # guard against geomspace round-off at the endpoint
     return Grid(nodes)

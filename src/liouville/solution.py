@@ -119,6 +119,13 @@ class NormalizedSolution:
         if not any(lines):
             raise ValueError(f"{cpath}: no rows")
         data = np.loadtxt(lines, delimiter=",", usecols=range(4), ndmin=2)
+        grid = Grid(data[:, 0])
+        # the header repeats the CSV's last node and row count; a file pair
+        # that disagrees on them is not one solution
+        for key, value in (("r_max", grid.r_max), ("n_nodes", grid.n_nodes)):
+            if key in header and header[key] != value:
+                raise ValueError(f"{jpath}: header {key} = {header[key]!r} "
+                                 f"but {cpath.name} gives {value!r}")
         pot = None
         if header.get("potential"):
             try:
@@ -127,7 +134,7 @@ class NormalizedSolution:
                 pot = None  # descriptor may reference a moved table file
         return cls(beta=float(header["beta"]), n=float(header["n"]),
                    psi=data[:, 1], dpsi=data[:, 2], mass=data[:, 3],
-                   grid=Grid(data[:, 0]), potential=pot,
+                   grid=grid, potential=pot,
                    tolerances=dict(header.get("tolerances", {})),
                    residuals=dict(header.get("residual_summary", {})),
                    meta=dict(header.get("meta", {})))

@@ -294,7 +294,8 @@ def test_shooting_radius_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--abs-tol", "1e-6"), ("--rel-tol", "1e-6"), ("--config", None)])
+    ("--abs-tol", "1e-6"), ("--rel-tol", "1e-6"), ("--config", None),
+    ("--bracket", "1,2")])
 def test_variational_refuses_shooting_tolerances(tmp_path, capsys, flag,
                                                   value):
     # regression: the variational backend parsed these and then ignored

@@ -1,6 +1,7 @@
 """Log-graded radial grid checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ def test_bad_inputs_raise():
         make_grid(-1.0, 64)
     with pytest.raises(ValueError):
         make_grid(1.0, 4)
+    for r_first in (0.0, 10.0, 20.0):
+        with pytest.raises(ValueError, match="first node"):
+            make_grid(10.0, 64, r_first)
+
+
+def test_first_node_can_be_given():
+    g = make_grid(10.0, 256, 1e-3)
+    assert g.nodes[0] == 1e-3 and g.nodes[-1] == 10.0
+    assert np.allclose(np.diff(np.log(g.nodes)), math.log(1e4) / 255)
 
 
 @settings(max_examples=40, deadline=None)

@@ -397,6 +397,42 @@ def test_solve_for_beta_samples_one_trajectory(monkeypatch):
     assert len(calls) == 1
 
 
+def test_output_grid_starts_where_the_solution_leaves_its_centre():
+    # regression: the first node was 1e-8·r_max, so it moved with how far the
+    # tail test pushed r_max and psi_at extrapolated below it; two solves
+    # whose s* agree to 2.5e-8 differed by 1.6e-4 in psi_at on [1e-5, 4]
+    V = Sphere(-1.0, 0.0)
+    sols = [solve_for_beta(V, 0.0, 0.9, (-4.0, 4.0), c)
+            for c in (Controls(), Controls(r_max=4.0))]
+    assert sols[0].r_max != sols[1].r_max
+    r = np.geomspace(1e-5, 4.0, 200)
+    assert np.max(np.abs(sols[0].psi_at(r) - sols[1].psi_at(r))) <= 1e-6
+    for sol in sols:
+        assert 0.0 < sol.mass[0] <= shooting._FIRST_MASS
+
+
+# inputs across the catalog whose sampled profiles sit closest to the
+# identity checks' bounds on a coarse grid: at 1024 nodes the Gaussian β = 1
+# fails the log-Lipschitz check, and β = −5 and −20 exceed the flux margin
+_MARGIN_INPUTS = [
+    (GAUSS, 0.0, 1.0), (GAUSS, 0.0, -5.0), (GAUSS, 0.0, -20.0),
+    (Sphere(-1.0, 0.0), 0.0, 1.94), (Sphere(-0.5, 1.0), 0.0, 1.97),
+    (Constant(1.0), 2.0, 4.0)]
+
+
+@pytest.mark.parametrize("V, n, beta", _MARGIN_INPUTS,
+                         ids=["gauss-1", "gauss-m5", "gauss-m20", "sphere-1",
+                              "sphere-half", "const-n2"])
+def test_default_output_grid_passes_with_margin(V, n, beta):
+    # Controls.n_sample is the smallest measured size whose profiles pass
+    # with the flux residual 10x under its 1e-6·(1+|β|) bound; a smaller
+    # default fails here
+    sol = solve_for_beta(V, n, beta, (-4.0, 4.0))
+    rep = check_identities(sol)
+    assert rep.log_lip_ok
+    assert rep.flux_residual <= 1e-7 * (1.0 + abs(beta))
+
+
 def test_solve_for_beta_takes_newton_steps(monkeypatch):
     calls, _ = _count_trajectories(monkeypatch)
     sol = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0))

@@ -59,3 +59,17 @@ def test_resave_writes_the_loaded_residuals(tmp_path):
     summary = json.loads(jpath.read_text())["residual_summary"]
     assert summary == back.residuals
     assert "mass_error" not in summary
+
+
+@pytest.mark.parametrize("key, value", [("r_max", 7.0), ("n_nodes", 3)])
+def test_load_rejects_a_header_that_disagrees_with_its_csv(tmp_path, key,
+                                                           value):
+    # regression: the JSON's r_max and n_nodes were ignored, so a header
+    # edited to r_max 7 and n_nodes 3 loaded as r_max 20 with 64 nodes
+    jpath = conformal_bubble(1.0, 2.0, make_grid(20.0, 64)).save(
+        tmp_path / "bubble.json")
+    header = json.loads(jpath.read_text())
+    header[key] = value
+    jpath.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=key):
+        NormalizedSolution.load(jpath)
