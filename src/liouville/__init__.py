@@ -16,11 +16,11 @@ from .grids import Grid, make_grid
 from .oracles import (bubble_lambda_from_raw_center, bubble_raw_center,
                       conformal_bubble, sharp_regularity_example)
 from .potentials import (Constant, LogSingular, Potential, PowerGauss,
-                         Sphere, Tabulated, alpha_of_v, check_conditions,
-                         load_tabulated, parse_potential)
+                         Sphere, Tabulated, alpha_of_v, certify,
+                         check_conditions, load_tabulated, parse_potential)
 from .shooting import (Controls, MassDivergence, NonexistenceError,
-                       PrecisionLimitError, ShootingError, integrate_ivp,
-                       mass_map, solve_for_beta)
+                       NotFoundError, PrecisionLimitError, ShootingError,
+                       integrate_ivp, mass_map, solve_for_beta)
 from .solution import NormalizedSolution
 from .variational import (EnergyUnboundedError, Gauge, MinimizeResult,
                           build_gauge, energy, minimize, to_solution,
@@ -37,10 +37,10 @@ __all__ = [
     "bubble_lambda_from_raw_center", "bubble_raw_center", "conformal_bubble",
     "sharp_regularity_example",
     "Constant", "LogSingular", "Potential", "PowerGauss", "Sphere",
-    "Tabulated", "alpha_of_v", "check_conditions", "load_tabulated",
-    "parse_potential",
-    "Controls", "MassDivergence", "NonexistenceError", "PrecisionLimitError",
-    "ShootingError", "integrate_ivp", "mass_map", "solve_for_beta",
+    "Tabulated", "alpha_of_v", "certify", "check_conditions",
+    "load_tabulated", "parse_potential",
+    "Controls", "MassDivergence", "NonexistenceError", "NotFoundError",
+    "PrecisionLimitError", "ShootingError", "integrate_ivp", "mass_map", "solve_for_beta",
     "NormalizedSolution",
     "EnergyUnboundedError", "Gauge", "MinimizeResult",
     "build_gauge", "energy", "minimize", "to_solution", "variational_solve",

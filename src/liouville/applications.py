@@ -2,23 +2,19 @@
 self-dual Chern–Simons–Schrödinger Landau levels, each reduced to a
 (β, n, V) mean-field problem for the core solver.
 
-Each preset's existence window is the `Potential.beta_window` of its weight
-at the preset's exponent n_eq.  `solve_app` evaluates the window and runs
-the shooting backend when the theory allows (or on the boundary, where it
-stays silent); it returns the solution alone and leaves `check_identities`
-to the caller.  A nonexistence, from the window or from the solver, is a
-`NonexistenceError` whose message states the preset's inequality and then
-the window's edges:
+A preset only maps its physical inputs to that problem, `problem()`:
 
-  Onsager            n > β_eq − 2,  β_eq = −β_stat/(4π)  (γ > 0; for γ = 0,
-                     V ≡ 1, the window is empty and β_eq = n + 2 the edge)
-  SphericalOnsager   n + 2 + 2l < β < n + 2
-  CSS                2·n_int > β − 2
+  Onsager            V = e^{−γ r^α},              n,        β = −β_stat/(4π)
+  SphericalOnsager   V = (1+r²)^l e^{2γ/(1+r²)},  n,        β
+  CSS                V = e^{−B r²/2},             2·n_int,  β
 
-The CSS weight is e^{−B|x|²/2}; the magnetic-field rescaling
-ψ_B(x) = ψ₁(√B x) + (n_int+1) log B connects different field strengths and
-`css_scaling_check` measures how well two independently solved profiles
-satisfy it.
+`solve_app` hands it to `solve_for_beta`, which owns every verdict: a
+`NonexistenceError` names the condition of `potentials.certify` that the
+input violates.
+
+For CSS the magnetic-field rescaling ψ_B(x) = ψ₁(√B x) + (n_int+1) log B
+connects different field strengths, and `css_scaling_check` measures how
+well two independently solved profiles satisfy it.
 """
 
 import csv
@@ -26,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 
 from .potentials import PowerGauss, Sphere
 from .shooting import NonexistenceError, ShootingError, solve_for_beta
@@ -44,22 +41,8 @@ _PSI0_CONCENTRATED = 20.0
 _INNER_MASS_CONCENTRATED = 0.99
 
 
-class _Preset:
-    """Window verdict shared by the presets: β_eq against the existence
-    window of the preset's weight at exponent n_eq."""
-
-    def window(self):
-        lo, hi = self.potential().beta_window(self.n_eq)
-        ineq = f"{self._inequality()}; window ({lo:g}, {hi:g})"
-        if lo < self.beta_eq < hi:
-            return "inside", ineq
-        if self.beta_eq in (lo, hi):
-            return "boundary", ineq
-        return "outside", ineq
-
-
 @dataclass(frozen=True)
-class Onsager(_Preset):
+class Onsager:
     """Mean-field point-vortex equation at statistical temperature β_stat."""
 
     n: float
@@ -67,29 +50,14 @@ class Onsager(_Preset):
     alpha_exp: float
     beta_stat: float
 
-    @property
-    def beta_eq(self):
-        return -self.beta_stat / (4.0 * math.pi)
-
-    @property
-    def n_eq(self):
-        return float(self.n)
-
-    def potential(self):
-        return PowerGauss(n_pow=0.0, gamma=self.gamma, alpha_exp=self.alpha_exp)
-
-    def _inequality(self):
-        return (f"requires n > beta_eq - 2: n = {self.n_eq:g}, "
-                f"beta_eq - 2 = {self.beta_eq - 2.0:g}")
-
-    def window(self):
-        if self.beta_eq == 0.0:
-            return "boundary", "beta_eq = 0: zero coupling, outside scope"
-        return super().window()
+    def problem(self):
+        return (PowerGauss(n_pow=0.0, gamma=self.gamma,
+                           alpha_exp=self.alpha_exp),
+                float(self.n), -self.beta_stat / (4.0 * math.pi))
 
 
 @dataclass(frozen=True)
-class SphericalOnsager(_Preset):
+class SphericalOnsager:
     """Onsager flow on the sphere, stereographically projected."""
 
     n: float
@@ -97,23 +65,13 @@ class SphericalOnsager(_Preset):
     gamma: float
     beta: float
 
-    @property
-    def beta_eq(self):
-        return float(self.beta)
-
-    @property
-    def n_eq(self):
-        return float(self.n)
-
-    def potential(self):
-        return Sphere(l=self.l, gamma=self.gamma)
-
-    def _inequality(self):
-        return f"requires n + 2 + 2l < beta < n + 2: beta = {self.beta:g}"
+    def problem(self):
+        return (Sphere(l=self.l, gamma=self.gamma), float(self.n),
+                float(self.beta))
 
 
 @dataclass(frozen=True)
-class CSS(_Preset):
+class CSS:
     """Self-dual Chern–Simons–Schrödinger vortex of winding n_int in field B."""
 
     n_int: int
@@ -126,50 +84,18 @@ class CSS(_Preset):
         if not self.B > 0:
             raise ValueError("B must be positive")
 
-    @property
-    def beta_eq(self):
-        return float(self.beta)
-
-    @property
-    def n_eq(self):
-        return 2.0 * self.n_int
-
-    def potential(self):
-        return PowerGauss(n_pow=0.0, gamma=0.5 * self.B, alpha_exp=2.0)
-
-    def _inequality(self):
-        return (f"requires 2*n_int > beta - 2: 2*{self.n_int} = "
-                f"{self.n_eq:g} vs beta - 2 = {self.beta - 2.0:g}")
-
-
-_BOUNDARY_NOTE = "boundary — theory silent or sharp"
+    def problem(self):
+        return (PowerGauss(n_pow=0.0, gamma=0.5 * self.B, alpha_exp=2.0),
+                2.0 * self.n_int, float(self.beta))
 
 
 def solve_app(spec, controls=None):
-    """Evaluate the window, then solve by shooting when allowed.
+    """Solve the preset's (V, n, β) by shooting; return the solution.
 
-    Returns the NormalizedSolution.  Raises NonexistenceError outside the
-    window, without solving, and when the solver finds no solution; the
-    message names the window and the preset's inequality.  Boundary windows
-    are attempted anyway and annotated.  Zero coupling raises ValueError;
-    other solver failures propagate.
+    Errors are the solver's: NonexistenceError when a necessary condition
+    fails, ValueError at zero coupling, other ShootingErrors otherwise.
     """
-    window, ineq = spec.window()
-    if window == "outside":
-        raise NonexistenceError(f"nonexistence (outside window): {ineq}")
-    if window == "boundary" and spec.beta_eq == 0.0:
-        raise ValueError(f"boundary (boundary window): {ineq} — zero "
-                         f"coupling: the problem degenerates")
-    try:
-        sol = solve_for_beta(spec.potential(), spec.n_eq, spec.beta_eq,
-                             _BRACKET, controls)
-    except NonexistenceError as err:
-        detail = _BOUNDARY_NOTE if window == "boundary" else str(err)
-        raise NonexistenceError(
-            f"nonexistence ({window} window): {ineq} — {detail}",
-            beta_range=err.beta_range, s_range=err.s_range) from err
-    if window == "boundary":
-        sol.meta["window_note"] = _BOUNDARY_NOTE
+    sol = solve_for_beta(*spec.problem(), _BRACKET, controls)
     sol.meta["application"] = spec.__class__.__name__
     return sol
 
@@ -192,13 +118,8 @@ def css_scaling_check(n_int, beta, B1, B2, controls=None):
     """
     if B1 <= 0 or B2 <= 0:
         raise ValueError("field strengths must be positive")
-    spec1, spec2 = CSS(n_int, beta, B1), CSS(n_int, beta, B2)
-    for s in (spec1, spec2):
-        w, ineq = s.window()
-        if w != "inside":
-            raise NonexistenceError(f"scaling check needs the window: {ineq}")
-    sol1 = solve_app(spec1, controls)
-    sol2 = solve_app(spec2, controls)
+    sol1 = solve_app(CSS(n_int, beta, B1), controls)
+    sol2 = solve_app(CSS(n_int, beta, B2), controls)
     ratio = B2 / B1
     shift = (n_int + 1.0) * math.log(ratio)
     scaled = math.sqrt(ratio) * sol2.r
@@ -221,24 +142,27 @@ class ScanRow:
 
 
 def _mass_within(sol, radius):
+    """M(radius): one cubic Hermite step in log r on the cell that holds it,
+    with the exact slope dM/dlog r = 2π r^{n+2} V e^ψ̃ at both nodes."""
     if radius <= sol.r[0]:
         return 0.0
     if radius >= sol.r_max:
         return float(sol.mass[-1])
-    return float(np.interp(math.log(radius), np.log(sol.r), sol.mass))
+    k = int(np.searchsorted(sol.r, radius)) - 1     # the cell [r_k, r_k+1]
+    r, psi, mass = (col[k:k + 2] for col in (sol.r, sol.psi, sol.mass))
+    slope = (2.0 * math.pi * r ** (sol.n + 2.0) * sol.potential.value(r)
+             * np.exp(psi))
+    return float(CubicHermiteSpline(np.log(r), mass, slope)(math.log(radius)))
 
 
 def _scan_entry(n, gamma, alpha_exp, beta_stat, controls):
     spec = Onsager(n, gamma, alpha_exp, beta_stat)
     row = ScanRow(param=float(beta_stat), verdict="", psi0=math.nan,
-                  mass_inner=math.nan, beta_eq=spec.beta_eq)
+                  mass_inner=math.nan, beta_eq=spec.problem()[2])
     try:
         sol = solve_app(spec, controls)
     except NonexistenceError as err:
-        # boundary windows report as boundary even when the attempted solve
-        # came back empty-handed; the message keeps the underlying story
-        row.verdict = ("boundary" if spec.window()[0] == "boundary"
-                       else "nonexistence")
+        row.verdict = "nonexistence"
         row.error = str(err)
         return row
     except ShootingError as err:

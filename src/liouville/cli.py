@@ -1,9 +1,11 @@
-"""Command-line front end: solve, scan, find, verify, oracle, app, plot.
+"""Command-line front end: solve, scan, verify, oracle, app, plot.
 
 Exit codes follow one contract everywhere: 0 on success, 2 when the outcome
-is a nonexistence verdict (the theory rules the requested solution out), 1 on
-any other failure including usage mistakes.  Commands let errors propagate
-and `main` alone maps them to exit codes: a `NonexistenceError` from any
+is a nonexistence verdict (a condition of `potentials.certify` rules the
+requested solution out), 1 on any other failure, including usage mistakes,
+a root search that finds nothing, and a profile whose mass or Pokhozhaev
+residual exceeds its bound in `verify`.  Commands let errors propagate and
+`main` alone maps them to exit codes: a `NonexistenceError` from any
 command exits 2.  Console numbers are rounded to 6 significant digits; files
 always carry full double precision.
 
@@ -29,7 +31,7 @@ from .shooting import (Controls, NonexistenceError, ShootingError, mass_map,
                        solve_for_beta)
 from .solution import NormalizedSolution
 from .variational import EnergyUnboundedError, variational_solve
-from .verify import check_identities
+from .verify import MASS_BOUND, POKHOZHAEV_BOUND, check_identities
 
 __all__ = ["cli", "main", "plot_svg", "SCAN_HEADER"]
 
@@ -98,6 +100,18 @@ def _potential_or_usage(spec):
         raise click.UsageError(str(err))
 
 
+def _checked(sol):
+    """check_identities, refusing a profile whose mass or Pokhozhaev
+    residual exceeds its bound."""
+    report = check_identities(sol)
+    for name, bound in (("mass_residual", MASS_BOUND),
+                        ("pokhozhaev_residual", POKHOZHAEV_BOUND)):
+        if not getattr(report, name) <= bound:
+            raise click.ClickException(f"{name} = {getattr(report, name):.3g}"
+                                       f" exceeds its bound {bound:g}")
+    return report
+
+
 def _summary(sol, report=None):
     bits = [f"beta={_fmt(sol.beta)}", f"n={_fmt(sol.n)}",
             f"psi0={_fmt(sol.psi[0])}", f"r_max={_fmt(sol.r_max)}"]
@@ -136,7 +150,7 @@ def cli():
 
 
 # ---------------------------------------------------------------------------
-# solve / find
+# solve
 
 
 @cli.command()
@@ -152,11 +166,12 @@ def cli():
               help="Initial ψ(0) bracket for the root search, shooting "
                    "only.  [default: -4,4]")
 @_with_tolerances
-@click.option("--out", "out_path", required=True, type=click.Path(),
+@click.option("--out", "out_path", default=None, type=click.Path(),
               help="Output basename; writes .json and .csv.")
 def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
           config_path, out_path):
-    """Produce a unit-mass solution and its identity report."""
+    """Produce a unit-mass solution and its identity report; exit 2 if no
+    solution can exist."""
     V = _potential_or_usage(potential_spec)
     if method == "shooting":
         controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
@@ -170,28 +185,7 @@ def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
         if beta <= 0:
             raise click.UsageError("the variational backend needs beta > 0")
         sol, _ = variational_solve(V, n_exp, beta)
-    report = check_identities(sol)
-    _save(sol, out_path)
-    click.echo(_summary(sol, report))
-
-
-@cli.command()
-@click.option("--beta", type=float, required=True, help="Target β.")
-@click.option("--n", "n_exp", type=float, default=0.0, show_default=True)
-@click.option("--potential", "potential_spec", default="const:c=1",
-              show_default=True)
-@click.option("--bracket", default="-4,4", show_default=True)
-@_with_tolerances
-@click.option("--out", "out_path", default=None, type=click.Path(),
-              help="Optionally persist the solution files.")
-def find(beta, n_exp, potential_spec, bracket, abs_tol, rel_tol, config_path,
-         out_path):
-    """Root-find ψ(0) for a target β; exit 2 if no solution can exist."""
-    V = _potential_or_usage(potential_spec)
-    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
-    sol = solve_for_beta(V, n_exp, beta, _numbers(bracket, "bracket", 2),
-                         controls)
-    click.echo(_summary(sol, check_identities(sol)))
+    click.echo(_summary(sol, _checked(sol)))
     if out_path:
         _save(sol, out_path)
 
@@ -342,9 +336,7 @@ def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
             raise click.UsageError("css needs --n-int and --beta")
         spec = CSS(n_int=n_int, beta=beta, B=b_field)
     sol = solve_app(spec, controls)
-    click.echo(_summary(sol, check_identities(sol)))
-    if "window_note" in sol.meta:
-        click.echo(sol.meta["window_note"])
+    click.echo(_summary(sol, _checked(sol)))
     if out_path:
         _save(sol, out_path)
 

@@ -25,12 +25,13 @@ Two structural quantities drive existence theory and are exposed here:
 
 Both follow from two exponents that every weight states: V ~ r^n_pow at the
 origin and V ~ r^decay_power at infinity.  `Potential.beta_window(n)` turns
-them into the existence window n + 2 + decay_power < β < n + 2 + n_pow,
-which the presets, the minimizer and the shooting refusals read.  The
+them into the paper's window n + 2 + decay_power < β < n + 2 + n_pow, a
+sufficient condition that the minimizer's hypotheses flag reads.  The
 log-singular borderline, which these powers do not describe, overrides the
 origin condition.  A sampled table is constant below its first node and
 follows its fitted power law past its last, so both powers describe it
-exactly.
+exactly.  `certify(V, n, β)` decides existence from two necessary
+conditions, finite mass and the index identity (`log_slope_range()`).
 """
 
 import csv
@@ -42,7 +43,7 @@ from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "Constant", "PowerGauss", "Sphere", "LogSingular", "Tabulated",
-    "alpha_of_v", "check_conditions", "ConditionReport",
+    "alpha_of_v", "check_conditions", "ConditionReport", "certify",
     "parse_potential", "load_tabulated",
 ]
 
@@ -108,6 +109,12 @@ class Potential:
         """V > 0 on some annulus R1 < r < R2; the base samples [0.5, 2]."""
         return bool(np.min(self.value(np.linspace(0.5, 2.0, 33))) > 0)
 
+    def log_slope_range(self):
+        """(inf g, sup g) of g = rV′/V over {V > 0}; None (the log-singular
+        weight, whose cutoff jump no g describes) skips `certify`'s index
+        condition."""
+        return None
+
     def descriptor(self):
         raise NotImplementedError
 
@@ -128,6 +135,9 @@ class Constant(Potential):
 
     def smooth_scalar(self, r):
         return self.c
+
+    def log_slope_range(self):
+        return 0.0, 0.0
 
     def descriptor(self):
         return f"const:c={self.c!r}"
@@ -168,6 +178,10 @@ class PowerGauss(Potential):
     def smooth_scalar(self, r):
         return math.exp(-self.gamma * r ** self.alpha_exp)
 
+    def log_slope_range(self):
+        # g = n_pow − γ·a·r^a
+        return -math.inf if self.gamma > 0 else self.n_pow, self.n_pow
+
     def descriptor(self):
         return f"gauss:npow={self.n_pow!r},gamma={self.gamma!r},alpha={self.alpha_exp!r}"
 
@@ -196,6 +210,15 @@ class Sphere(Potential):
     def smooth_scalar(self, r):
         q = 1.0 + r * r
         return q ** self.l * math.exp(2.0 * self.gamma / q)
+
+    def log_slope_range(self):
+        # g = 4γt² + (2l − 4γ)t on t = r²/(1+r²) ∈ (0, 1): its end values 0
+        # and 2l, and its minimum at t = ½ − l/(4γ) when that lies inside
+        t = 0.0
+        if self.gamma > 0:
+            t = min(max(0.5 - self.l / (4.0 * self.gamma), 0.0), 1.0)
+        g_t = 4.0 * self.gamma * t * t + (2.0 * self.l - 4.0 * self.gamma) * t
+        return min(0.0, 2.0 * self.l, g_t), max(0.0, 2.0 * self.l)
 
     def descriptor(self):
         return f"sphere:l={self.l!r},gamma={self.gamma!r}"
@@ -318,6 +341,16 @@ class Tabulated(Potential):
         first and the last of them."""
         return bool(np.count_nonzero(self.values > 0) >= 2)
 
+    def log_slope_range(self):
+        """g of the cubic on a log grid eight times finer than the table,
+        where it is positive, with g = 0 below the table and g = p past it:
+        approximate, like the fitted p."""
+        x = np.linspace(self._log_r[0], self._log_r[-1], 8 * self.radii.size)
+        v = self._cubic(x)
+        g = np.append(self._cubic(x[v > 0], 1) / v[v > 0],
+                      [0.0, self.decay_power])
+        return float(g.min()), float(g.max())
+
     def descriptor(self):
         return f"table={self.path}" if self.path else "table=<inline>"
 
@@ -396,6 +429,39 @@ def check_conditions(V, beta, delta, n=0.0):
         vminus_integral_ok=True,
         positivity_annulus_ok=V.has_positivity_annulus(),
         approximate=V.sampled)
+
+
+def certify(V, n, beta):
+    """None when (V, n, β) meets two necessary conditions for a unit-mass
+    solution of −Δψ̃ = 4πβ rⁿV e^ψ̃; else "no solution: " and the one it fails.
+
+    * Finite mass: rψ̃′ = −2βM(r) with 0 < M < 1, so V ~ r^p at infinity
+      (p = decay_power) needs β > (n + 2 + p)/2 for β > 0, ≥ for β < 0.
+    * Index (Pokhozhaev) identity: β − n − 2 = ∫|x|ⁿe^ψ̃ x·∇V dx = E_μ[g]
+      with g = rV′/V and μ = |x|ⁿV e^ψ̃ dx of unit mass, so β − n − 2 lies
+      strictly inside ``V.log_slope_range()``, or equals g when g is
+      constant (V ≡ c: β = n + 2 only; Chen & Li, Duke Math. J. 63, 1991).
+      It assumes V is C¹ where positive and r^{n+2}V e^ψ̃ → 0 at 0 and ∞;
+      a weight without a range skips it.  A sampled weight's verdict is
+      approximate.
+    """
+    edge = (n + 2.0 + V.decay_power) / 2.0
+    gap = beta - n - 2.0
+    lo, hi = V.log_slope_range() or (-math.inf, math.inf)
+    if beta > 0 and not beta > edge or beta < 0 and not beta >= edge:
+        text = (f"finite mass needs beta {'>' if beta > 0 else '>='} "
+                f"(n + 2 + p)/2 = {edge:g}, where V ~ r^p at infinity "
+                f"(p = {V.decay_power:g}); got beta = {beta:g}")
+    elif lo == hi != gap:
+        text = (f"the index identity needs beta - n - 2 = g = {lo:g}, since "
+                f"g = rV'/V is constant; got {gap:g}")
+    elif lo < hi and not lo < gap < hi:
+        text = (f"the index identity needs beta - n - 2 strictly inside "
+                f"(inf g, sup g) = ({lo:g}, {hi:g}), g = rV'/V; got {gap:g}")
+    else:
+        return None
+    return (f"no solution: {text}"
+            + (" (sampled weight: approximate)" if V.sampled else ""))
 
 
 # ---------------------------------------------------------------------------

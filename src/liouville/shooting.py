@@ -51,19 +51,19 @@ import numpy as np
 from scipy.integrate import DOP853, IntegrationWarning, quad, solve_ivp
 
 from .grids import make_grid
-from .potentials import LogSingular
+from .potentials import LogSingular, certify
 from .solution import NormalizedSolution
 
 __all__ = [
     "Controls", "ShootResult", "MassMapEntry", "ShootingError",
-    "NonexistenceError", "PrecisionLimitError", "integrate_ivp", "mass_map",
-    "solve_for_beta",
+    "NonexistenceError", "NotFoundError", "PrecisionLimitError",
+    "integrate_ivp", "mass_map", "solve_for_beta",
 ]
 
 _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
 _PSI_CAP = 700.0          # clamp on every exponent; larger s is rejected
 _R_MAX_CAP = 1e6          # r_max extends up to this, then gives up
-_MAX_EXPAND = 10          # bracket expansions before a nonexistence verdict
+_MAX_EXPAND = 10          # bracket expansions before "not found"
 _MAX_ROOT_ITER = 80       # Newton/bisection steps after the bracket search
 _FIRST_MASS = 1e-12       # mass fraction M(r) at the output grid's first node
 
@@ -78,7 +78,17 @@ class MassDivergence(ShootingError):
 
 
 class NonexistenceError(ShootingError):
-    """Target coupling unreachable by the mass map (likely nonexistence)."""
+    """No solution exists: the message is the condition of
+    ``potentials.certify`` that the input violates."""
+
+
+class NotFoundError(ShootingError):
+    """The root search ended without a root that it can return, and no
+    condition of ``potentials.certify`` rules one out.
+
+    ``beta_range`` holds the least and the largest finite β seen (None when
+    every trajectory diverged), ``s_range`` the centre values searched.
+    """
 
     def __init__(self, message, beta_range=None, s_range=None):
         super().__init__(message)
@@ -86,17 +96,10 @@ class NonexistenceError(ShootingError):
         self.s_range = s_range
 
 
-class PrecisionLimitError(ShootingError):
+class PrecisionLimitError(NotFoundError):
     """The β root lies between two adjacent doubles in s: neither bracket
-    end meets ``root_tol`` and bisection cannot split the bracket.
-
-    ``beta_range`` holds the sorted β at the two ends, ``s_range`` the ends.
-    """
-
-    def __init__(self, message, beta_range, s_range):
-        super().__init__(message)
-        self.beta_range = beta_range
-        self.s_range = s_range
+    end meets ``root_tol`` and bisection cannot split the bracket.  The
+    ranges are those of the two ends."""
 
 
 @dataclass
@@ -495,16 +498,14 @@ def _beta(res, sigma):
     return sigma * math.inf if res is None else res.beta_s
 
 
-def _bracket_search(shoot, evaluated, beta_target, window, s_lo, g_lo, s_hi,
-                    g_hi):
+def _bracket_search(shoot, evaluated, beta_target, s_lo, g_lo, s_hi, g_hi):
     """Expand [s_lo, s_hi] until g = β − target changes sign; return the
     ends as (s_lo, g_lo, s_hi).
 
     ``shoot(s)`` evaluates g(s) into ``evaluated``; g is ±inf where the mass
-    diverges (the map runs off its end).  Raises NonexistenceError when every
+    diverges (the map runs off its end).  Raises NotFoundError when every
     trajectory diverges, when an expansion moves β by less than 1e-9 (the map
-    saturated short of the target), or after ``_MAX_EXPAND`` expansions; its
-    message names the weight's existence ``window`` (lo, hi).
+    saturated short of the target), or after ``_MAX_EXPAND`` expansions.
     """
     for attempt in range(_MAX_EXPAND + 1):
         # a zero end is tested on its own: 0·inf is NaN
@@ -512,7 +513,7 @@ def _bracket_search(shoot, evaluated, beta_target, window, s_lo, g_lo, s_hi,
             return s_lo, g_lo, s_hi
         if (attempt == _MAX_EXPAND
                 or all(res is None for res in evaluated.values())):
-            _nonexistence(beta_target, evaluated, window)
+            _not_found(beta_target, evaluated)
         # both ends miss on one side: grow s_hi when β rises toward the
         # target (increasing below it, or decreasing above it), else s_lo
         width = s_hi - s_lo
@@ -523,22 +524,19 @@ def _bracket_search(shoot, evaluated, beta_target, window, s_lo, g_lo, s_hi,
             g_old, s_lo = g_lo, s_lo - width
             g_new = g_lo = shoot(s_lo)
         if abs(g_new - g_old) < 1e-9 * (1.0 + abs(beta_target)):
-            _nonexistence(beta_target, evaluated, window)
+            _not_found(beta_target, evaluated)
 
 
-def _nonexistence(beta_target, evaluated, window):
+def _not_found(beta_target, evaluated):
     finite = [res.beta_s for res in evaluated.values() if res is not None]
     s_range = (min(evaluated), max(evaluated))
     where = f"s in [{s_range[0]:g}, {s_range[1]:g}]"
     if not finite:
-        raise NonexistenceError(
-            f"target beta = {beta_target:g} unreachable — likely "
-            f"nonexistence: every trajectory diverged over {where}",
-            s_range=s_range)
-    raise NonexistenceError(
-        f"target beta = {beta_target:g} outside bracket — likely "
-        f"nonexistence, cf. existence window beta in ({window[0]:g}, "
-        f"{window[1]:g}); scanned beta(s) range "
+        raise NotFoundError(
+            f"target beta = {beta_target:g} not found: every trajectory "
+            f"diverged over {where}", s_range=s_range)
+    raise NotFoundError(
+        f"target beta = {beta_target:g} not found: scanned beta(s) range "
         f"[{min(finite):.6g}, {max(finite):.6g}] over {where}",
         beta_range=(min(finite), max(finite)), s_range=s_range)
 
@@ -546,7 +544,10 @@ def _nonexistence(beta_target, evaluated, window):
 def solve_for_beta(V, n, beta_target, bracket, controls=None):
     """Root-find s* with β(s*) = β_target; return the normalized solution.
 
-    When both bracket ends already lie within ``root_tol`` of the target the
+    Raises NonexistenceError, before any trajectory, when
+    ``potentials.certify`` names a condition that (V, n, β_target) violates,
+    and NotFoundError when the search ends without a root otherwise.  When
+    both bracket ends already lie within ``root_tol`` of the target the
     map is a flat family and the upper end is returned; one end alone is
     never accepted, since a map that saturates toward the target drifts
     inside any tolerance.  Otherwise the bracket is expanded to a sign
@@ -557,10 +558,14 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     """
     c = controls or Controls()
     if beta_target == 0.0:
-        raise ValueError("beta_target must be nonzero")
+        raise ValueError("beta_target must be nonzero: zero coupling "
+                         "degenerates the problem")
     s_lo, s_hi = float(bracket[0]), float(bracket[1])
     if not s_lo < s_hi:
         raise ValueError("bracket must satisfy s_lo < s_hi")
+    reason = certify(V, n, beta_target)
+    if reason is not None:
+        raise NonexistenceError(reason)
     sigma = 1 if beta_target > 0 else -1
     evaluated = {}      # s → ShootResult, or None where the mass diverged
 
@@ -577,7 +582,6 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     flat = abs(g_lo) < c.root_tol and abs(g_hi) < c.root_tol
     if not flat:
         s_lo, g_lo, s_hi = _bracket_search(shoot, evaluated, beta_target,
-                                           V.beta_window(n),
                                            s_lo, g_lo, s_hi, g_hi)
     n_bracket = len(evaluated)
     s_star = s_hi if flat else _root_search(shoot, evaluated, sigma,

@@ -51,8 +51,9 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.special import logsumexp
 
 from .grids import Grid, make_grid
-from .shooting import (_R_MAX_CAP, Controls, MassDivergence, _tail_integral,
-                       _tail_step)
+from .potentials import certify
+from .shooting import (_R_MAX_CAP, Controls, MassDivergence,
+                       NonexistenceError, _tail_integral, _tail_step)
 from .solution import NormalizedSolution
 
 __all__ = [
@@ -267,7 +268,7 @@ def minimize(gauge, V, init=None, n=0.0):
         raise EnergyUnboundedError(
             f"beta = {gauge.beta:g} exceeds n + 2 + n_pow = {hi:g}: the "
             "energy's infimum is -inf on every disk, so no minimizer exists; "
-            "`find` tests whether a solution does")
+            "the shooting backend tests whether a solution does")
     grid = gauge.grid
     disc = _Discretization(gauge, V, n)
 
@@ -344,13 +345,17 @@ def variational_solve(V, n, beta):
     """Build the gauge and minimize on disks grown by shooting's
     truncation rule.
 
-    The first disk has radius 12.  After each solve the frozen-slope tail
+    Raises NonexistenceError, before any disk, when ``potentials.certify``
+    names a condition that (V, n, β) violates.  The first disk has radius 12.  After each solve the frozen-slope tail
     past R, from ψ̃(R) and rψ̃′(R) = −2β, must hold less than
     ``Controls.tail_rel_tol`` of the unit mass; otherwise the disk jumps
     to the radius where that tail is predicted to meet it, up to r = 10⁶.
     A tail that is negative, not finite or still too large at that cap
     raises ``MassDivergence``.  Returns (solution, minimize result).
     """
+    reason = certify(V, n, beta)
+    if reason is not None:
+        raise NonexistenceError(reason)
     tol = Controls.tail_rel_tol
     n_eff = n + float(V.n_pow)
     radius = _R_FIRST

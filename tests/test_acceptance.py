@@ -15,10 +15,11 @@ from liouville.applications import CSS, css_scaling_check, solve_app
 from liouville.cli import main as cli_main
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble, sharp_regularity_example
-from liouville.potentials import Constant, PowerGauss
+from liouville.potentials import Constant, PowerGauss, certify
 from liouville.shooting import Controls, integrate_ivp, mass_map, solve_for_beta
 from liouville.variational import build_gauge, energy, variational_solve
-from liouville.verify import check_identities, compare_solutions, pokhozhaev_P
+from liouville.verify import (POKHOZHAEV_BOUND, check_identities,
+                              compare_solutions, pokhozhaev_P)
 
 GAUSS = PowerGauss(n_pow=0.0, gamma=1.0, alpha_exp=2.0)
 
@@ -117,16 +118,16 @@ def test_criterion_03_gaussian_threshold():
     entries = mass_map(GAUSS, 0.0, list(range(-5, 26)), tight)
     betas = [e.beta for e in entries]
     below = all(b < 2.0 for b in betas)
-    exit_code = cli_main(["find", "--beta", "2.0", "--n", "0",
+    exit_code = cli_main(["solve", "--beta", "2.0", "--n", "0",
                           "--potential", "gauss:gamma=1,alpha=2"])
     _record(3, "gaussian sharp threshold beta<2",
             below and max(betas) > 1.9 and exit_code == 2,
-            f"max beta={max(betas):.10f} find-exit={exit_code}")
+            f"max beta={max(betas):.10f} solve-exit={exit_code}")
 
 
 def test_criterion_04_pokhozhaev_identity(gauss_sol):
     residual = check_identities(gauss_sol).pokhozhaev_residual
-    _record(4, "pokhozhaev index identity", residual < 1e-4,
+    _record(4, "pokhozhaev index identity", residual < POKHOZHAEV_BOUND,
             f"|beta-2-n-integral|={residual:.3g}")
 
 
@@ -200,12 +201,9 @@ def test_criterion_11_css_field_scaling():
         n_int = int(rng.integers(0, 6))
         beta = float(rng.uniform(-4.0, 8.0))
         b_field = float(rng.uniform(0.2, 5.0))
-        verdict, _ = CSS(n_int, beta, b_field).window()
-        lhs, rhs = 2.0 * n_int, beta - 2.0
-        expected = ("inside" if lhs > rhs
-                    else "boundary" if lhs == rhs else "outside")
-        verdicts_ok = verdicts_ok and verdict == expected
-    _record(11, "css B-rescaling law and window sweep",
+        refused = certify(*CSS(n_int, beta, b_field).problem()) is not None
+        verdicts_ok = verdicts_ok and refused == (not 2.0 * n_int > beta - 2.0)
+    _record(11, "css B-rescaling law and verdict sweep",
             deviation < 1e-4 and verdicts_ok,
             f"deviation={deviation:.3g} 20/20 verdicts={verdicts_ok}")
 

@@ -9,6 +9,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from liouville.cli import SCAN_HEADER, main
@@ -67,33 +68,54 @@ def test_solve_prints_its_flags(tmp_path, capsys, argv, printed):
         assert printed in console.split()
 
 
+def _ring_table(tmp_path):
+    """A ring of weight at r = 5 over a faint core, as a table file."""
+    r = np.geomspace(1e-3, 200.0, 4000)
+    path = tmp_path / "ring.csv"
+    v = np.exp(-(r - 5.0) ** 2) + 1e-3 * np.exp(-r)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(r.tolist(), v.tolist()))
+    path.write_text("r,V\n" + rows)
+    return f"table={path}"
+
+
 def test_variational_above_the_window_exits_one(tmp_path, capsys):
-    # regression: the minimizer returned a "converged" β = 2.5 profile that
-    # passed check_identities; no minimizer exists above β = n + 2 + n_pow,
-    # which rules out a minimizer, not a solution, so this is no verdict
+    # regression: the minimizer returned a "converged" profile above
+    # β = n + 2 + n_pow, where no minimizer exists.  That rules out a
+    # minimizer, not a solution: the ring's g = rV'/V reaches 12.2, so no
+    # condition refuses β = 3.5 at n = 1, and this is no verdict
     out = tmp_path / "v.json"
-    assert run("solve", "--method", "variational", "--beta", 2.5,
-               "--potential", GAUSS, "--out", out) == 1
-    assert "n + 2 + n_pow = 2" in capsys.readouterr().err
+    assert run("solve", "--method", "variational", "--beta", 3.5, "--n", 1,
+               "--potential", _ring_table(tmp_path), "--out", out) == 1
+    assert "n + 2 + n_pow = 3" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
+def test_ring_table_off_its_first_branch_is_not_found(tmp_path, capsys):
+    # regression: the ring table at β = 9.406 exited 2 with no theorem
+    # behind it: g reaches 12.2, so the index identity allows β < 14.2, and
+    # β(s) peaks near 12.6 where the serial search never looks
+    assert run("solve", "--beta", 9.406, "--potential", _ring_table(tmp_path),
+               "--bracket", "-8,12") == 1
+    assert "target beta = 9.406 not found" in capsys.readouterr().err
+
+
 def test_find_reports_nonexistence_with_exit_two(capsys):
-    assert run("find", "--beta", 2.5, "--n", 0, "--potential", GAUSS) == 2
+    assert run("solve", "--beta", 2.5, "--n", 0, "--potential", GAUSS) == 2
     err = capsys.readouterr().err
-    assert "existence window beta in (-inf, 2)" in err
+    assert "(inf g, sup g) = (-inf, 0)" in err
 
 
 def test_solve_reports_nonexistence_with_exit_two(tmp_path, capsys):
     out = tmp_path / "x.json"
-    assert run("solve", "--method", "shooting", "--beta", 2.5,
-               "--potential", GAUSS, "--out", out) == 2
-    assert "existence window beta in (-inf, 2)" in capsys.readouterr().err
-    assert not out.exists() and not out.with_suffix(".csv").exists()
+    for method in ("shooting", "variational"):
+        assert run("solve", "--method", method, "--beta", 2.5,
+                   "--potential", GAUSS, "--out", out) == 2
+        assert "(inf g, sup g) = (-inf, 0)" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_find_success_prints_summary(capsys):
-    assert run("find", "--beta", 1, "--potential", GAUSS) == 0
+    assert run("solve", "--beta", 1, "--potential", GAUSS) == 0
     out = capsys.readouterr().out
     assert "s_star=" in out and "beta=1 " in out
 
@@ -161,7 +183,7 @@ def test_app_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     assert run("app", "css", "--n-int", 0, "--beta", 2) == 2
-    assert "2*n_int" in capsys.readouterr().err
+    assert "index identity" in capsys.readouterr().err
 
     assert run("app", "sphere", "--l", -1, "--beta", 1) == 0
     assert "beta=1 " in capsys.readouterr().out
@@ -209,7 +231,7 @@ def test_plot_svg_deterministic(tmp_path, capsys):
 def test_config_file_supplies_tolerances(tmp_path, capsys):
     cfg = tmp_path / "tight.cfg"
     cfg.write_text("abs_tol=1e-11\nrel_tol=1e-9\n")
-    assert run("find", "--beta", 1, "--potential", GAUSS,
+    assert run("solve", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 0
     assert "beta=1 " in capsys.readouterr().out
 
@@ -218,13 +240,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     # a misspelt key (dash for underscore) would otherwise be ignored silently
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("root-tol=1e-30\n")
-    assert run("find", "--beta", 1, "--potential", GAUSS,
+    assert run("solve", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 1
     assert "'root-tol'" in capsys.readouterr().err
     # the truncation radius is no setting: every trajectory runs until its
     # tail test passes
     cfg.write_text("r_max=40\n")
-    assert run("find", "--beta", 1, "--potential", GAUSS,
+    assert run("solve", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 1
     assert "unknown key 'r_max'" in capsys.readouterr().err
 
@@ -232,7 +254,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
     cfg = tmp_path / "commented.cfg"
     cfg.write_text("# tolerances\n\n  abs_tol = 1e-11  \n# end\n")
-    assert run("find", "--beta", 1, "--potential", GAUSS,
+    assert run("solve", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 0
     assert "beta=1 " in capsys.readouterr().out
 
@@ -240,7 +262,7 @@ def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
 def test_config_file_malformed_line_names_its_location(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("abs_tol=1e-11\nnot a pair\n")
-    assert run("find", "--beta", 1, "--potential", GAUSS,
+    assert run("solve", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 1
     assert "run.cfg:2" in capsys.readouterr().err
 
@@ -248,18 +270,18 @@ def test_config_file_malformed_line_names_its_location(tmp_path, capsys):
 def test_config_file_rejects_non_numeric_values(tmp_path, capsys):
     cfg = tmp_path / "words.cfg"
     cfg.write_text("rel_tol=tight\n")
-    assert run("find", "--beta", 1, "--potential", GAUSS,
+    assert run("solve", "--beta", 1, "--potential", GAUSS,
                "--config", cfg) == 1
     assert "'tight'" in capsys.readouterr().err
 
 
 def test_onsager_without_confinement_is_nonexistence(capsys):
     # --gamma 0 makes V ≡ 1, whose only coupling is β_eq = n + 2 = 2; at
-    # β_eq = 1 the window verdict alone exits 2
+    # β_eq = 1 finite mass alone exits 2
     assert run("app", "onsager", "--gamma", 0, "--beta-stat",
                -4 * math.pi) == 2
     err = capsys.readouterr().err
-    assert "outside" in err and "window (2, 2)" in err
+    assert "finite mass needs beta > (n + 2 + p)/2 = 1" in err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -275,8 +297,9 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     listed = capsys.readouterr().out
-    for name in ("solve", "scan", "find", "verify", "oracle", "app", "plot"):
+    for name in ("solve", "scan", "verify", "oracle", "app", "plot"):
         assert name in listed
+    assert "find" not in listed
 
 
 def test_shooting_radius_is_a_usage_error(tmp_path, capsys):
@@ -311,11 +334,12 @@ def test_variational_refuses_shooting_tolerances(tmp_path, capsys, flag,
 
 
 def test_variational_mass_no_disk_holds_exits_one(tmp_path, capsys):
-    # regression: a constant weight has finite-mass solutions only at β = 2,
-    # yet the ψ(0) doubling rule wrote a β = 1 "solution" and exited 0
+    # regression: the ψ(0) doubling rule wrote "solutions" whose mass no
+    # disk held, and exited 0.  On the sphere weight at β = 0.1 the tail
+    # falls like R^{−0.2}: no condition refuses it, and no disk holds it
     out = tmp_path / "c.json"
-    assert run("solve", "--method", "variational", "--beta", 1,
-               "--potential", "const:c=1", "--out", out) == 1
+    assert run("solve", "--method", "variational", "--beta", 0.1,
+               "--potential", "sphere:l=-1,gamma=0", "--out", out) == 1
     assert "mass did not converge" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
@@ -325,8 +349,7 @@ def test_zero_coupling_exits_one(tmp_path, capsys):
     # solution; it is neither a solution nor a nonexistence verdict
     out = tmp_path / "z.json"
     assert run("app", "onsager", "--beta-stat", 0, "--out", out) == 1
-    err = capsys.readouterr().err
-    assert "boundary" in err and "zero coupling" in err
+    assert "zero coupling" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -338,13 +361,42 @@ def test_zero_temperature_in_a_scan_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_boundary_solve_prints_the_window_note(capsys):
+def test_flat_family_app_exits_zero(capsys):
     # --gamma 0 makes V ≡ 1, whose only coupling β_eq = 2 is the window edge
     assert run("app", "onsager", "--gamma", 0,
                f"--beta-stat={-8 * math.pi!r}") == 0
-    out = capsys.readouterr().out
-    assert "beta=2 " in out
-    assert "boundary — theory silent or sharp" in out
+    assert "beta=2 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, residual", [
+    (("app", "sphere", "--l", -1, "--gamma", 1, "--beta", 0.05), 0.035),
+    (("solve", "--beta", 0.05, "--potential", "sphere:l=-1,gamma=1"), 0.035),
+    (("app", "sphere", "--l", -1.5, "--beta", -0.4), 5.5e-3),
+    (("app", "sphere", "--l", -2.5, "--beta", -1.5), 8.1e-3)],
+    ids=["sphere-gamma1", "solve-sphere-gamma1", "sphere-1.5", "sphere-2.5"])
+def test_truncated_tail_fails_the_gate(tmp_path, capsys, argv, residual):
+    # regression: these slow tails stop at the 10⁶ cap with the mass still
+    # arriving; no condition refuses them, check_identities did, yet the
+    # command printed the profile and exited 0
+    out = tmp_path / "s.json"
+    assert run(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    found = float(err.split("pokhozhaev_residual = ")[1].split()[0])
+    assert found == pytest.approx(residual, rel=0.05)
+    assert "exceeds its bound 0.0001" in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("argv, condition", [
+    (("--beta", -0.1, "--potential", "sphere:l=-1,gamma=1"),
+     "finite mass needs beta >= (n + 2 + p)/2 = 0"),
+    (("--beta", 0.95, "--potential", "sphere:l=-0.5,gamma=0"),
+     "(inf g, sup g) = (-1, 0)")], ids=["mass", "index"])
+def test_certified_inputs_that_exited_zero_exit_two(capsys, argv, condition):
+    # regression: both printed a profile that check_identities rejects and
+    # exited 0 (mass residual 1.98; Pokhozhaev residual 0.050)
+    assert run("solve", *argv) == 2
+    assert condition in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, option", [

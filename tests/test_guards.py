@@ -180,6 +180,40 @@ def test_no_module_tests_a_weight_type():
     assert [site for site in found if site not in ALLOWED_WEIGHT_TESTS] == []
 
 
+def _nonexistence_sites(path):
+    """(function, backed) for each NonexistenceError a source file builds;
+    backed when its one argument is a name that the same function assigns
+    from a ``certify`` call."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        certified = {target.id for node in ast.walk(func)
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Call)
+                     and getattr(node.value.func, "id", None) == "certify"
+                     for target in node.targets
+                     if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "NonexistenceError"):
+                found.append((func.name, len(node.args) == 1
+                              and not node.keywords
+                              and getattr(node.args[0], "id", None)
+                              in certified))
+    return found
+
+
+def test_every_nonexistence_reads_the_certificate():
+    # exit 2 needs a theorem: a NonexistenceError carries the text of the
+    # condition that certify found violated, and nothing else
+    sites = {(path.stem, func, backed)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func, backed in _nonexistence_sites(path)}
+    assert sites == {("shooting", "solve_for_beta", True),
+                     ("variational", "variational_solve", True)}
+
+
 TRACED_METRICS = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]

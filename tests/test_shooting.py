@@ -21,8 +21,8 @@ from liouville.oracles import conformal_bubble
 from liouville.potentials import (Constant, LogSingular, PowerGauss, Sphere,
                                   Tabulated)
 from liouville.shooting import (Controls, MassDivergence, NonexistenceError,
-                                PrecisionLimitError, integrate_ivp, mass_map,
-                                solve_for_beta)
+                                NotFoundError, PrecisionLimitError,
+                                integrate_ivp, mass_map, solve_for_beta)
 from liouville.solution import NormalizedSolution
 from liouville.verify import check_identities, pokhozhaev_P
 
@@ -545,27 +545,31 @@ def test_solve_for_beta_zero_target_rejected():
         solve_for_beta(GAUSS, 0.0, 0.0, (-3.0, 3.0))
 
 
-def test_unreachable_beta_is_nonexistence():
-    # the message names the Gaussian's existence window, upper edge 2
+def test_unreachable_beta_is_nonexistence(monkeypatch):
+    # the message names the violated condition: g = −2r² of the Gaussian
+    # ranges over (−inf, 0), so the index identity needs β < n + 2 = 2; it
+    # is read before any trajectory
+    calls, _ = _count_trajectories(monkeypatch)
     with pytest.raises(NonexistenceError,
-                       match=r"existence window beta in \(-inf, 2\)") \
-            as excinfo:
+                       match=r"\(inf g, sup g\) = \(-inf, 0\), g = rV'/V; "
+                             r"got 0\.5$"):
         solve_for_beta(GAUSS, 0.0, 2.5, (-3.0, 3.0))
-    err = excinfo.value
-    assert err.beta_range is not None and err.beta_range[1] < 2.5
-    assert err.s_range is not None
+    assert calls == []
 
 
 def test_all_diverged_nonexistence_message_has_no_nan():
-    # negative coupling with a non-decaying weight: every trajectory blows up
-    with pytest.raises(NonexistenceError, match="every trajectory diverged") \
+    # σ = −1 trajectories of the Gaussian blow up for s above log 4, so the
+    # bracket [2, 4] holds none that converges; no condition refuses β = −1,
+    # so this is "not found", not a nonexistence
+    with pytest.raises(NotFoundError, match="every trajectory diverged") \
             as excinfo:
-        solve_for_beta(Constant(1.0), 0.0, -1.0, (-4.0, 4.0))
+        solve_for_beta(GAUSS, 0.0, -1.0, (2.0, 4.0))
     err = excinfo.value
+    assert not isinstance(err, NonexistenceError)
     assert "nan" not in str(err).lower()
     assert err.beta_range is None
-    assert err.s_range == (-4.0, 4.0)
-    assert "[-4, 4]" in str(err)
+    assert err.s_range == (2.0, 4.0)
+    assert "[2, 4]" in str(err)
 
 
 def test_saturating_map_never_fakes_a_root():
@@ -590,12 +594,10 @@ def test_constant_weight_deep_start_does_not_converge_to_a_wrong_beta():
     assert abs(res.beta_s - 2.0) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, raises=PrecisionLimitError,
-                   reason="ROADMAP item 2: bad tails at deep starts fake a "
-                          "sign change of beta(s) - 1")
 def test_constant_weight_off_its_only_coupling_is_nonexistence():
     # V ≡ 1, n = 0 has solutions only at β = 2, so β = 1 is a nonexistence;
-    # the wrong β of deep starts ends the bracket at adjacent doubles instead
+    # it is certified before the wrong β of deep starts can end the bracket
+    # at adjacent doubles
     with pytest.raises(NonexistenceError):
         solve_for_beta(Constant(1.0), 0.0, 1.0, (-4.0, 4.0))
 

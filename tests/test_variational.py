@@ -12,7 +12,8 @@ from liouville import variational
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble
 from liouville.potentials import Constant, PowerGauss, Sphere, Tabulated
-from liouville.shooting import Controls, MassDivergence, solve_for_beta
+from liouville.shooting import (Controls, MassDivergence, NonexistenceError,
+                                solve_for_beta)
 from liouville.variational import (
     EnergyUnboundedError, build_gauge, energy, minimize, to_solution,
     variational_solve,
@@ -387,11 +388,20 @@ def test_sphere_family_disk_holds_its_mass(l):
     assert sol.meta["flags"] == []
 
 
-def test_constant_weight_off_its_only_coupling_is_mass_divergence():
+def test_constant_weight_off_its_only_coupling_is_nonexistence(monkeypatch):
     # a constant weight has finite-mass solutions only at β = 2 (Chen & Li
-    # 1991): at β = 1 no disk holds the mass
-    with pytest.raises(MassDivergence, match="r_max"):
+    # 1991): β = 1 is refused before any disk is minimized
+    calls = _count(monkeypatch, "minimize")
+    with pytest.raises(NonexistenceError, match="finite mass"):
         variational_solve(Constant(1.0), 0.0, 1.0)
+    assert calls == []
+
+
+def test_a_slow_tail_that_no_disk_holds_is_mass_divergence():
+    # the sphere weight at β = 0.1 passes every condition, but its tail
+    # falls like R^{−0.2}: no disk up to 10⁶ holds the mass
+    with pytest.raises(MassDivergence, match="r_max"):
+        variational_solve(Sphere(-1.0, 0.0), 0.0, 0.1)
 
 
 _TAIL_WEIGHTS = {
@@ -419,9 +429,10 @@ def test_every_returned_disk_passed_its_tail_test(V, n, frac):
 
 def test_threshold_coupling_on_a_disk_is_flagged_not_converged():
     # β = n + 2 + n_pow = 4 for r²·e^{−r/2}: the centre value climbs while
-    # the gradient never meets its tolerance
+    # the gradient never meets its tolerance.  The plane has no solution
+    # (certify refuses it), but the disk problem is minimized all the same
     V = PowerGauss(n_pow=2.0, gamma=0.5, alpha_exp=1.0)
-    sol, res = variational_solve(V, 0.0, 4.0)
+    res = minimize(build_gauge(4.0, make_grid(12.0, 4096)), V)
     assert not res.converged
-    assert "not_converged" in sol.meta["flags"]
-    assert "existence_hypotheses_violated" in sol.meta["flags"]
+    assert "not_converged" in res.flags
+    assert "existence_hypotheses_violated" in res.flags

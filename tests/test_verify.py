@@ -9,12 +9,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from liouville.applications import CSS, solve_app
 from liouville.grids import make_grid
 from liouville.oracles import conformal_bubble
 from liouville.potentials import LogSingular, PowerGauss, Sphere
-from liouville.shooting import solve_for_beta
+from liouville.shooting import Controls, solve_for_beta
 from liouville.solution import NormalizedSolution
 from liouville.variational import variational_solve
 from liouville.verify import check_identities, compare_solutions, pokhozhaev_P
@@ -59,8 +60,7 @@ def test_corrupted_profile_is_flagged(corrupted_sol):
 def _log_lip_by_pairs(sol):
     """Reference: the log-Lipschitz verdict and constant, one pair at a time."""
     x = np.log(sol.r)
-    u2 = sol.dpsi ** 2
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (u2[1:] + u2[:-1]) * np.diff(x))])
+    cum = cumulative_simpson(sol.dpsi ** 2, x=x, initial=0.0)
     pick = np.unique(np.linspace(0, sol.r.size - 1, 32).astype(int))
     ok, worst = True, 0.0
     for a, i in enumerate(pick):
@@ -76,6 +76,16 @@ def test_log_lip_matches_the_pairwise_loop(gaussian_sol, corrupted_sol):
     for sol in (gaussian_sol, corrupted_sol):
         rep = check_identities(sol)
         assert (rep.log_lip_ok, rep.log_lip_constant) == _log_lip_by_pairs(sol)
+
+
+def test_log_lip_passes_a_correct_coarse_profile(corrupted_sol):
+    # regression: the trapezoid rule's error decided far-field pairs, near
+    # the Cauchy–Schwarz equality case, and failed this correct profile by
+    # 1.22 times the slack; the corrupted profile still fails
+    coarse = solve_for_beta(GAUSS, 0.0, 1.0, (-3.0, 3.0),
+                            Controls(n_sample=1024))
+    assert check_identities(coarse).log_lip_ok
+    assert not check_identities(corrupted_sol).log_lip_ok
 
 
 def test_potential_required():
