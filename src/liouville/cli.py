@@ -182,8 +182,6 @@ def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
                             ("--config", config_path), ("--bracket", bracket)):
             if value is not None:
                 raise click.UsageError(f"the variational backend takes no {flag}")
-        if beta <= 0:
-            raise click.UsageError("the variational backend needs beta > 0")
         sol, _ = variational_solve(V, n_exp, beta)
     click.echo(_summary(sol, _checked(sol)))
     if out_path:

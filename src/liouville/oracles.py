@@ -46,11 +46,10 @@ def conformal_bubble(n_fam, lam, grid):
     r = grid.nodes
     t = (lam * r) ** (2.0 * n)
     psi = -2.0 * np.log1p(t) + math.log(n / math.pi) + 2.0 * n * math.log(lam)
-    mass = t / (1.0 + t)
-    dpsi = -2.0 * beta * mass          # r ψ′, exact
+    dpsi = -2.0 * beta * (t / (1.0 + t))      # r ψ′ = −2βM(r), exact
     return NormalizedSolution(
-        beta=beta, n=2.0 * (n - 1.0), psi=psi, dpsi=dpsi, mass=mass,
-        grid=grid, potential=Constant(1.0),
+        beta=beta, n=2.0 * (n - 1.0), psi=psi, dpsi=dpsi, grid=grid,
+        potential=Constant(1.0),
         meta={"oracle": "conformal_bubble", "n_fam": n, "lambda": float(lam)})
 
 
@@ -73,12 +72,11 @@ def sharp_regularity_example(alpha_cut, grid):
     psi[inner] = -0.5 * np.log(-np.log(r[inner]))
     psi[~inner] = (-np.log(r[~inner]) / (2.0 * log_a)
                    + 0.5 - 0.5 * math.log(-log_a))
-    mass = np.where(inner, log_a / np.log(r), 1.0)
-    dpsi = -2.0 * beta * mass           # r ψ′ = 1/(2(−log r)) inside, exact
+    # r ψ′ = −2βM(r) = 1/(2(−log r)) inside, exact
+    dpsi = -2.0 * beta * np.where(inner, log_a / np.log(r), 1.0)
     V = LogSingular(alpha_cut=a)
     sol = NormalizedSolution(
-        beta=beta, n=0.0, psi=psi, dpsi=dpsi, mass=mass, grid=grid,
-        potential=V,
+        beta=beta, n=0.0, psi=psi, dpsi=dpsi, grid=grid, potential=V,
         meta={"oracle": "sharp_regularity", "alpha_cut": a})
     return V, sol
 

@@ -32,6 +32,11 @@ origin condition.  A sampled table is constant below its first node and
 follows its fitted power law past its last, so both powers describe it
 exactly.  `certify(V, n, β)` decides existence from two necessary
 conditions, finite mass and the index identity (`log_slope_range()`).
+
+No package code reads α(V) (`alpha_of_v`) or the finiteness conditions
+(`check_conditions`).  They stay only because the benchmark in `perfbench/`
+times `check_conditions` for its `potentials.check_conditions.s` metric;
+their deletion waits on that metric's removal (ROADMAP items 11 and 13).
 """
 
 import csv
@@ -105,6 +110,14 @@ class Potential:
         """2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞."""
         return beta > self.beta_window(n)[0] + delta
 
+    def _require_finite(self):
+        """Refuse a parameter that is NaN or infinite, naming it."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"weight parameter {f.name} must be finite, "
+                                 f"got {value:g}")
+
     def has_positivity_annulus(self):
         """V > 0 on some annulus R1 < r < R2; the base samples [0.5, 2]."""
         return bool(np.min(self.value(np.linspace(0.5, 2.0, 33))) > 0)
@@ -127,6 +140,7 @@ class Constant(Potential):
     c: float = 1.0
 
     def __post_init__(self):
+        self._require_finite()
         if self.c < 0:
             raise ValueError("constant weight must be non-negative")
 
@@ -152,6 +166,7 @@ class PowerGauss(Potential):
     alpha_exp: float = 2.0
 
     def __post_init__(self):
+        self._require_finite()
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.alpha_exp <= 0:
@@ -194,6 +209,7 @@ class Sphere(Potential):
     gamma: float = 0.0
 
     def __post_init__(self):
+        self._require_finite()
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
 
@@ -381,7 +397,7 @@ def alpha_of_v(V):
     V ~ r^p at infinity (p = V.decay_power) makes ∫ r^{p+2α+1} dr finite iff
     2α < −p − 2.  For a Tabulated weight p is fitted to the last decade of
     the table and V follows r^p past it, so check_conditions flags the result
-    approximate.
+    approximate.  No package code reads it (see the module docstring).
     """
     return -1.0 - V.decay_power / 2.0
 
@@ -417,6 +433,8 @@ def check_conditions(V, beta, delta, n=0.0):
 
     The origin and infinity integrals are taken over the problem weight
     rⁿV, so the weight exponent n shifts every power-law threshold by n.
+    No package code reads it; existence is decided by `certify` (see the
+    module docstring).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -429,6 +447,13 @@ def check_conditions(V, beta, delta, n=0.0):
         vminus_integral_ok=True,
         positivity_annulus_ok=V.has_positivity_annulus(),
         approximate=V.sampled)
+
+
+def check_exponent(n):
+    """Refuse a weight exponent n that is negative or not finite."""
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"weight exponent n must be finite and non-negative, "
+                         f"got {n:g}")
 
 
 def certify(V, n, beta):
@@ -444,7 +469,16 @@ def certify(V, n, beta):
       It assumes V is C¹ where positive and r^{n+2}V e^ψ̃ → 0 at 0 and ∞;
       a weight without a range skips it.  A sampled weight's verdict is
       approximate.
+
+    Raises ValueError, before any verdict, for an input outside the domain:
+    β not finite or zero, n not finite or negative.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta:g}")
+    if beta == 0.0:
+        raise ValueError("beta_target must be nonzero: zero coupling "
+                         "degenerates the problem")
+    check_exponent(n)
     edge = (n + 2.0 + V.decay_power) / 2.0
     gap = beta - n - 2.0
     lo, hi = V.log_slope_range() or (-math.inf, math.inf)

@@ -51,7 +51,7 @@ import numpy as np
 from scipy.integrate import DOP853, IntegrationWarning, quad, solve_ivp
 
 from .grids import make_grid
-from .potentials import LogSingular, certify
+from .potentials import LogSingular, certify, check_exponent
 from .solution import NormalizedSolution
 
 __all__ = [
@@ -181,12 +181,10 @@ class ShootResult:
         beta = self.beta_s
         if beta == 0.0:
             raise ShootingError("zero coupling cannot be mass-normalized")
-        psi, u = self.psi, self.dpsi
         shift = math.log(4.0 * math.pi * abs(beta))
         m_total = 2.0 * abs(beta)          # includes the tail correction
-        mass = (-self.sigma * u) / m_total
         return NormalizedSolution(
-            beta=beta, n=self.n, psi=psi - shift, dpsi=u, mass=mass,
+            beta=beta, n=self.n, psi=self.psi - shift, dpsi=self.dpsi,
             grid=self.grid, potential=self.potential,
             residuals={"tail_mass_fraction": self.tail_mass / m_total,
                        "beta_prime": self.beta_prime_s},
@@ -343,8 +341,7 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     correction.
     """
     c = controls or Controls()
-    if n < 0:
-        raise ValueError("weight exponent n must be non-negative")
+    check_exponent(n)
     if sigma not in (-1, 1):
         raise ValueError("sigma must be ±1")
     if isinstance(V, LogSingular):
@@ -358,6 +355,9 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     n_eff = n + float(V.n_pow)
     if n_eff + 2.0 <= 0.0:
         raise ValueError("effective weight exponent must exceed −2")
+    for value in np.ravel(s):
+        if not math.isfinite(value):
+            raise ValueError(f"center value s = {value:g} is not finite")
     if np.ndim(s) > 0:
         return _integrate(V, n, n_eff, [float(v) for v in s], c, sigma)
     out = _integrate(V, n, n_eff, [s], c, sigma)[0]
@@ -544,7 +544,8 @@ def _not_found(beta_target, evaluated):
 def solve_for_beta(V, n, beta_target, bracket, controls=None):
     """Root-find s* with β(s*) = β_target; return the normalized solution.
 
-    Raises NonexistenceError, before any trajectory, when
+    Raises ValueError for an input outside the domain and
+    NonexistenceError, before any trajectory, when
     ``potentials.certify`` names a condition that (V, n, β_target) violates,
     and NotFoundError when the search ends without a root otherwise.  When
     both bracket ends already lie within ``root_tol`` of the target the
@@ -557,9 +558,6 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     β′ > ``root_tol`` and another β′ < −``root_tol``.
     """
     c = controls or Controls()
-    if beta_target == 0.0:
-        raise ValueError("beta_target must be nonzero: zero coupling "
-                         "degenerates the problem")
     s_lo, s_hi = float(bracket[0]), float(bracket[1])
     if not s_lo < s_hi:
         raise ValueError("bracket must satisfy s_lo < s_hi")

@@ -4,17 +4,16 @@ A NormalizedSolution holds node samples of the shifted profile ψ̃ solving
 
     −Δψ̃ = 4πβ rⁿ V e^{ψ̃}  on ℝ²,      ∫_{ℝ²} rⁿ V e^{ψ̃} dx = 1,
 
-together with r ψ̃′ and the cumulative mass M(r) = ∫_{D(0,r)} rⁿ V e^{ψ̃} dx.
-Two invariants tie the columns together; ``verify.check_identities``
-checks them from the columns and the weight alone:
-
-    M(r_max) = 1          (total mass),
-    r ψ̃′(r) = −2β M(r)   (flux identity at every node).
+together with r ψ̃′.  The cumulative mass M(r) = ∫_{D(0,r)} rⁿ V e^{ψ̃} dx
+is not stored: the flux identity r ψ̃′(r) = −2β M(r) makes it a function of
+the slope, so ``mass`` reads −rψ̃′/(2β) and the columns cannot contradict
+each other.  ``verify.check_identities`` recomputes M from ψ̃ and the weight
+alone, and checks M(r_max) = 1 and the flux identity against rψ̃′.
 
 On disk a solution is a pair of sibling files: ``name.json`` carrying the
 scalar header (beta, n, potential descriptor, r_max, tolerances, the
 producer's residuals under ``residual_summary``) and ``name.csv`` carrying
-the profile with the exact column header ``r,psi,r_dpsi,mass``.  The split
+the profile with the exact column header ``r,psi,r_dpsi``.  The split
 keeps the bulk data directly consumable by plotting tools and spreadsheets.
 """
 
@@ -29,7 +28,7 @@ from scipy.interpolate import PchipInterpolator
 from .grids import Grid
 from .potentials import parse_potential
 
-CSV_HEADER = ["r", "psi", "r_dpsi", "mass"]
+CSV_HEADER = ["r", "psi", "r_dpsi"]
 
 
 @dataclass
@@ -38,7 +37,6 @@ class NormalizedSolution:
     n: float
     psi: np.ndarray          # ψ̃ at the grid nodes
     dpsi: np.ndarray         # r ψ̃′ at the grid nodes
-    mass: np.ndarray         # cumulative mass M(r), M(r_max) ≈ 1
     grid: Grid
     potential: object = None
     tolerances: dict = field(default_factory=dict)
@@ -47,7 +45,7 @@ class NormalizedSolution:
 
     def __post_init__(self):
         n_nodes = self.grid.n_nodes
-        for name in ("psi", "dpsi", "mass"):
+        for name in ("psi", "dpsi"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n_nodes,):
                 raise ValueError(f"{name} must have one sample per grid node")
@@ -64,6 +62,11 @@ class NormalizedSolution:
     @property
     def r_max(self):
         return self.grid.r_max
+
+    @property
+    def mass(self):
+        """Cumulative mass M(r) = −rψ̃′/(2β) at the nodes (flux identity)."""
+        return -self.dpsi / (2.0 * self.beta)
 
     def psi_at(self, r):
         """Monotone cubic interpolation of ψ̃ in log r."""
@@ -95,9 +98,8 @@ class NormalizedSolution:
             json.dump(header, fh, indent=2, sort_keys=True)
             fh.write("\n")
         # repr round-trips every double; \r\n is csv.writer's row ending
-        rows = np.column_stack((self.r, self.psi, self.dpsi, self.mass))
-        body = "".join(f"{r!r},{p!r},{d!r},{m!r}\r\n"
-                       for r, p, d, m in rows.tolist())
+        rows = np.column_stack((self.r, self.psi, self.dpsi))
+        body = "".join(f"{r!r},{p!r},{d!r}\r\n" for r, p, d in rows.tolist())
         with open(cpath, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\r\n" + body)
         return jpath
@@ -118,7 +120,7 @@ class NormalizedSolution:
             lines = fh.read().splitlines()
         if not any(lines):
             raise ValueError(f"{cpath}: no rows")
-        data = np.loadtxt(lines, delimiter=",", usecols=range(4), ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", usecols=range(3), ndmin=2)
         grid = Grid(data[:, 0])
         # the header repeats the CSV's last node and row count; a file pair
         # that disagrees on them is not one solution
@@ -133,8 +135,7 @@ class NormalizedSolution:
             except (ValueError, OSError):
                 pot = None  # descriptor may reference a moved table file
         return cls(beta=float(header["beta"]), n=float(header["n"]),
-                   psi=data[:, 1], dpsi=data[:, 2], mass=data[:, 3],
-                   grid=grid, potential=pot,
+                   psi=data[:, 1], dpsi=data[:, 2], grid=grid, potential=pot,
                    tolerances=dict(header.get("tolerances", {})),
                    residuals=dict(header.get("residual_summary", {})),
                    meta=dict(header.get("meta", {})))

@@ -34,11 +34,10 @@ One discretization is built per disk: the minimizer's result carries it with
 its gauge and weight, and the assembled solution reuses it together with the
 minimizer's log-mass.
 
-The slope and mass columns of the assembled solution come from integrating
-the Euler–Lagrange equation: r ψ′(r) = −2β m(r)/S with
-m(r) = ∫_{D(0,r)} W₁ e^φ, so M(R) = 1 and the flux identity hold exactly at
-the discrete level; independent residuals are left to the verification
-module.
+The slope column of the assembled solution comes from integrating the
+Euler–Lagrange equation: r ψ′(r) = −2β m(r)/S with m(r) = ∫_{D(0,r)} W₁ e^φ,
+so the mass M = −rψ′/(2β) it implies has M(R) = 1 at the discrete level;
+independent residuals are left to the verification module.
 """
 
 import math
@@ -99,7 +98,7 @@ class MinimizeResult:
 def build_gauge(beta, grid):
     """Gauge profile ψ₀ and its source f = −Δψ₀ on the grid nodes."""
     if beta <= 0:
-        raise ValueError("gauge requires beta > 0")
+        raise ValueError("the variational backend needs beta > 0")
     if not isinstance(grid, Grid):
         raise TypeError("grid must be a Grid")
     r = grid.nodes
@@ -313,7 +312,7 @@ def minimize(gauge, V, init=None, n=0.0):
 
 
 def to_solution(m):
-    """Assemble ψ = φ − log S − ψ₀ with exact discrete mass/slope columns.
+    """Assemble ψ = φ − log S − ψ₀ and its exact discrete slope column.
 
     Reuses the discretization of the minimize result ``m`` (its gauge and
     weight) and its log S.
@@ -329,11 +328,9 @@ def to_solution(m):
     dens = 2.0 * math.pi * disc.w1 * np.exp(m.phi) * grid.nodes
     m_v = cumulative_trapezoid(dens, grid.nodes, initial=0.0)
     m_v += disc.origin_cell * np.exp(m.phi[0])
-    mass = m_v / m_v[-1]
-    dpsi = -2.0 * gauge.beta * mass
+    dpsi = -2.0 * gauge.beta * (m_v / m_v[-1])
     return NormalizedSolution(
-        beta=gauge.beta, n=disc.n, psi=psi, dpsi=dpsi, mass=mass, grid=grid,
-        potential=V,
+        beta=gauge.beta, n=disc.n, psi=psi, dpsi=dpsi, grid=grid, potential=V,
         tolerances={"grad_tol": _GRAD_TOL},
         residuals={"el_grad_norm": m.grad_norm,
                    "energy": m.energy, "dirichlet": m.dirichlet},
@@ -345,8 +342,11 @@ def variational_solve(V, n, beta):
     """Build the gauge and minimize on disks grown by shooting's
     truncation rule.
 
-    Raises NonexistenceError, before any disk, when ``potentials.certify``
-    names a condition that (V, n, β) violates.  The first disk has radius 12.  After each solve the frozen-slope tail
+    Raises before any disk: ValueError for an input outside the domain,
+    NonexistenceError when ``potentials.certify`` names a condition that
+    (V, n, β) violates, and ValueError for any other β < 0, since the
+    backend needs β > 0.
+    The first disk has radius 12.  After each solve the frozen-slope tail
     past R, from ψ̃(R) and rψ̃′(R) = −2β, must hold less than
     ``Controls.tail_rel_tol`` of the unit mass; otherwise the disk jumps
     to the radius where that tail is predicted to meet it, up to r = 10⁶.

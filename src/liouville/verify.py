@@ -2,9 +2,9 @@
 
 Everything here re-derives its quantities from the stored ψ̃ samples through
 one independent quadrature rule, cumulative Simpson in log r, so a corrupted
-profile cannot satisfy the report even when its mass/slope columns are
-internally consistent.  Checked facts, for −Δψ̃ = 4πβ rⁿV e^{ψ̃} with unit
-mass:
+profile cannot satisfy the report even though its slope column and the mass
+M = −rψ̃′/(2β) it implies always agree.  Checked facts, for
+−Δψ̃ = 4πβ rⁿV e^{ψ̃} with unit mass:
 
   * mass:        M(r_max) = 1,
   * flux:        r ψ̃′(r) = −2β M(r) at every node,
@@ -85,10 +85,10 @@ def _cumulative_integrals(sol, V):
     """(M, J) at every node: the mass M(r) = 2π ∫₀^r tⁿ⁺¹V e^{ψ̃} dt and the
     partial index integral J(r) = 2π ∫₀^r tⁿ⁺²V′ e^{ψ̃} dt.
 
-    Cumulative Simpson in log r from the first node, seeded with the stored
-    M(r₀) (the only column value trusted below it) and the exact
-    J(r₀) = Q(r₀)/(2β) − (n+2−β)M(r₀).  A support cutoff α inside the grid
-    closes the bulk with one trapezoid cell [r_k, α], takes the jump
+    Cumulative Simpson in log r from the first node, seeded with
+    M(r₀) = −rψ̃′(r₀)/(2β) (the only column value trusted below it) and the
+    exact J(r₀) = Q(r₀)/(2β) − (n+2−β)M(r₀).  A support cutoff α inside the
+    grid closes the bulk with one trapezoid cell [r_k, α], takes the jump
     −α^{n+2}V(α⁻)e^{ψ̃(α)} into J at r ≥ α, and adds nothing beyond α.
     """
     r = sol.grid.nodes
@@ -99,8 +99,8 @@ def _cumulative_integrals(sol, V):
     y_mass = r ** (n + 2.0) * v * e_psi                   # integrands · r
     y_index = r ** (n + 3.0) * dv * e_psi
 
-    m0 = float(sol.mass[0])
     u0 = float(sol.dpsi[0])
+    m0 = -u0 / (2.0 * beta)
     q0 = (u0 * (0.5 * u0 + beta)
           + 4.0 * math.pi * beta * r[0] ** (n + 2.0) * float(v[0])
           * math.exp(float(sol.psi[0])))
@@ -137,8 +137,8 @@ def check_identities(sol, V=None):
     """Populate an IdentityReport for a normalized solution.
 
     The potential defaults to the one the solution carries.  All residuals
-    are recomputed from ψ̃ samples; the stored mass/slope columns enter only
-    through the origin seed M(r₀) and the flux comparison itself.
+    are recomputed from ψ̃ samples; the slope column enters only through the
+    origin seed M(r₀) = −rψ̃′(r₀)/(2β) and the flux comparison itself.
     """
     if V is None:
         V = sol.potential

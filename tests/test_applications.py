@@ -54,7 +54,14 @@ def test_sphere_potential():
 
 
 def _refused(spec):
-    return certify(*spec.problem()) is not None
+    """Whether certify names a violated condition.  Zero coupling is outside
+    the domain: certify raises there before any verdict, so none is named."""
+    V, n, beta = spec.problem()
+    if beta == 0.0:
+        with pytest.raises(ValueError, match="nonzero"):
+            certify(V, n, beta)
+        return False
+    return certify(V, n, beta) is not None
 
 
 def test_window_examples():

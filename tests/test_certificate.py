@@ -9,11 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from liouville import variational
+from liouville import shooting, variational
 from liouville.cli import main
 from liouville.potentials import (Constant, LogSingular, PowerGauss, Sphere,
-                                  Tabulated, certify)
-from liouville.shooting import ShootingError, integrate_ivp
+                                  Tabulated, certify, parse_potential)
+from liouville.shooting import ShootingError, integrate_ivp, solve_for_beta
 from liouville.verify import MASS_BOUND, POKHOZHAEV_BOUND, check_identities
 
 _RING_R = np.geomspace(1e-3, 200.0, 4000)
@@ -122,3 +122,44 @@ def test_no_profile_that_passes_the_gate_is_refused(V):
                     assert certify(V, n, sol.beta) is None
                     passed += 1
     assert passed >= 8
+
+
+@pytest.mark.parametrize("n, beta, named", [
+    (0.0, math.nan, "beta must be finite"),
+    (0.0, INF, "beta must be finite"),
+    (0.0, -INF, "beta must be finite"),
+    (0.0, 0.0, "beta_target must be nonzero"),
+    (math.nan, 1.0, "n must be finite and non-negative"),
+    (INF, 1.0, "n must be finite and non-negative"),
+    (-1.0, 1.0, "n must be finite and non-negative"),
+    (-1.0, 0.5, "n must be finite and non-negative")])
+def test_out_of_domain_input_raises_before_any_trajectory_or_disk(
+        monkeypatch, n, beta, named):
+    # regression: certify gave a "no solution" verdict with nan or inf in it,
+    # or none at all (β = 0.5, n = −1 minimized and returned a profile)
+    calls = []
+
+    def record(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    monkeypatch.setattr(shooting, "integrate_ivp", record("integrate_ivp"))
+    monkeypatch.setattr(variational, "build_gauge", record("build_gauge"))
+    monkeypatch.setattr(variational, "minimize", record("minimize"))
+    gauss = PowerGauss(0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match=named):
+        certify(gauss, n, beta)
+    with pytest.raises(ValueError, match=named):
+        solve_for_beta(gauss, n, beta, (-4.0, 4.0))
+    with pytest.raises(ValueError, match=named):
+        variational.variational_solve(gauss, n, beta)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("c", "const:c=inf"), ("gamma", "gauss:gamma=nan"),
+    ("alpha_exp", "gauss:alpha=inf"), ("n_pow", "gauss:npow=nan"),
+    ("l", "sphere:l=nan"), ("gamma", "sphere:gamma=inf")])
+def test_weight_refuses_a_non_finite_parameter(field, spec):
+    # regression: gamma = nan passed and certify read the weight as V ~ r^0
+    with pytest.raises(ValueError, match=f"parameter {field} must be finite"):
+        parse_potential(spec)

@@ -290,8 +290,11 @@ def test_usage_errors_exit_one(capsys):
     assert "unknown potential name" in capsys.readouterr().err
     assert run("no-such-command") == 1
     assert run("solve", "--no-such-flag") == 1
+    # the Gaussian weight passes certify at beta = -1; variational needs
+    # beta > 0
     assert run("solve", "--method", "variational", "--beta", -1,
-               "--out", "x.json") == 1     # variational needs beta > 0
+               "--potential", "gauss:gamma=1,alpha=2", "--out", "x.json") == 1
+    assert "the variational backend needs beta > 0" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -409,3 +412,73 @@ def test_malformed_number_list_exits_one(tmp_path, capsys, argv, option):
     assert run(*argv, "--out", out) == 1
     assert f"{option} wants" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+# (argv, exit code, text the error names); "{out}" is a scratch output path
+_OUT_OF_DOMAIN = [
+    (("solve", "--beta", "nan", "--potential", GAUSS), 1,
+     "beta must be finite, got nan"),
+    (("solve", "--beta", "inf", "--potential", GAUSS), 1,
+     "beta must be finite, got inf"),
+    (("solve", "--beta", "-inf", "--potential", GAUSS), 1,
+     "beta must be finite, got -inf"),
+    (("solve", "--method", "variational", "--beta", "nan",
+      "--potential", GAUSS), 1, "beta must be finite, got nan"),
+    (("solve", "--method", "variational", "--beta", "inf",
+      "--potential", GAUSS), 1, "beta must be finite, got inf"),
+    (("solve", "--method", "variational", "--beta", "-inf",
+      "--potential", GAUSS), 1, "beta must be finite, got -inf"),
+    (("solve", "--beta", 1, "--n", "nan", "--potential", GAUSS), 1,
+     "n must be finite and non-negative, got nan"),
+    (("solve", "--beta", 1, "--n", "inf", "--potential", GAUSS), 1,
+     "n must be finite and non-negative, got inf"),
+    (("solve", "--beta", 1, "--n", -1, "--potential", GAUSS), 1,
+     "n must be finite and non-negative, got -1"),
+    (("solve", "--beta", 1, "--n", -3, "--potential", GAUSS), 1,
+     "n must be finite and non-negative, got -3"),
+    (("solve", "--beta", 0.5, "--n", -1, "--potential", GAUSS), 1,
+     "n must be finite and non-negative, got -1"),
+    (("solve", "--method", "variational", "--beta", 0.5, "--n", -1,
+      "--potential", GAUSS), 1, "n must be finite and non-negative, got -1"),
+    (("solve", "--beta", 1, "--potential", "gauss:gamma=nan"), 1,
+     "weight parameter gamma must be finite, got nan"),
+    (("solve", "--beta", 1, "--potential", "const:c=inf"), 1,
+     "weight parameter c must be finite, got inf"),
+    (("solve", "--beta", 1, "--potential", "sphere:l=nan"), 1,
+     "weight parameter l must be finite, got nan"),
+    (("app", "sphere", "--l", "nan", "--beta", 1), 1,
+     "weight parameter l must be finite, got nan"),
+    (("app", "css", "--n-int", 1, "--beta", "nan"), 1,
+     "beta must be finite, got nan"),
+    (("app", "onsager", "--beta-stat", "nan"), 1,
+     "beta must be finite, got nan"),
+    (("app", "onsager", "--beta-stat", -6, "--gamma", "nan"), 1,
+     "weight parameter gamma must be finite, got nan"),
+    (("scan", "--s-list", "nan,0", "--out", "{out}"), 1,
+     "center value s = nan is not finite"),
+    (("scan", "--n", "nan", "--out", "{out}"), 1,
+     "n must be finite and non-negative, got nan"),
+    # one (V, n, β) gets one exit code on both backends
+    (("solve", "--beta", -0.1, "--potential", "sphere:l=-1,gamma=1"), 2,
+     "finite mass needs beta >= (n + 2 + p)/2 = 0"),
+    (("solve", "--method", "variational", "--beta", -0.1,
+      "--potential", "sphere:l=-1,gamma=1"), 2,
+     "finite mass needs beta >= (n + 2 + p)/2 = 0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, named", _OUT_OF_DOMAIN,
+                         ids=[" ".join(map(str, a)).replace(" --out {out}", "")
+                              for a, _, _ in _OUT_OF_DOMAIN])
+def test_out_of_domain_input_is_refused_before_any_verdict(tmp_path, capsys,
+                                                           argv, code, named):
+    # regression: the non-finite and negative inputs exited 2 with a
+    # "no solution" verdict that printed nan or inf, or exited 0 or 1
+    # depending on the backend; the variational backend refused the last
+    # input as a usage error (exit 1) before reading the certificate
+    out = tmp_path / "scan.csv"
+    assert run(*(str(out) if a == "{out}" else a for a in argv)) == code
+    err = capsys.readouterr().err
+    assert named in err
+    assert ("no solution" in err) == (code == 2)
+    assert not out.exists()

@@ -170,4 +170,4 @@ def test_solution_validates_shapes():
     g = make_grid(1.0, 64)
     with pytest.raises(ValueError, match="psi"):
         NormalizedSolution(beta=1.0, n=0.0, psi=np.zeros(3),
-                           dpsi=np.zeros(64), mass=np.zeros(64), grid=g)
+                           dpsi=np.zeros(64), grid=g)

@@ -650,7 +650,7 @@ def test_pokhozhaev_zero_weight_trivial():
     # zero coupling has no normalized form; carry the flat trajectory's
     # columns (rψ′ ≡ 0) under a nominal β, for which P must vanish exactly
     flat = NormalizedSolution(beta=1.0, n=0.0, psi=res.psi, dpsi=res.dpsi,
-                              mass=np.zeros(res.grid.n_nodes), grid=res.grid)
+                              grid=res.grid)
     assert np.all(flat.dpsi == 0.0)
     out = pokhozhaev_P(flat, Constant(0.0))
     assert float(np.max(np.abs(out["P"]))) == 0.0

@@ -17,7 +17,7 @@ def _csv_writer_bytes(sol):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    for row in zip(sol.r, sol.psi, sol.dpsi, sol.mass):
+    for row in zip(sol.r, sol.psi, sol.dpsi):
         writer.writerow([repr(float(v)) for v in row])
     return buf.getvalue().encode()
 
@@ -25,14 +25,17 @@ def _csv_writer_bytes(sol):
 def test_csv_bytes_match_csv_writer_and_round_trip_exactly(tmp_path):
     sol = conformal_bubble(1.0, 2.0, make_grid(20.0, 512))
     # values whose repr and parse are easy to get wrong
-    sol.mass[:6] = [0.0, -0.0, 5e-324, 1.2345678901234567e300, 0.1, 1 / 3]
+    sol.dpsi[:6] = [0.0, -0.0, 5e-324, 1.2345678901234567e300, 0.1, 1 / 3]
     jpath = sol.save(tmp_path / "bubble.json")
     assert (tmp_path / "bubble.csv").read_bytes() == _csv_writer_bytes(sol)
     back = NormalizedSolution.load(jpath)
-    for name in ("psi", "dpsi", "mass"):
+    for name in ("psi", "dpsi"):
         assert np.array_equal(getattr(back, name), getattr(sol, name))
     assert np.array_equal(back.r, sol.r)
-    assert np.signbit(back.mass[1])
+    assert np.signbit(back.dpsi[1])
+    # the mass is derived from the slope by the flux identity, bit for bit
+    assert np.array_equal(back.mass, -back.dpsi / (2.0 * back.beta))
+    assert np.array_equal(back.mass, sol.mass)
 
 
 def test_load_rejects_bad_header_and_empty_profile(tmp_path):
@@ -42,7 +45,11 @@ def test_load_rejects_bad_header_and_empty_profile(tmp_path):
     cpath.write_text("r,psi,dpsi,mass\n1,2,3,4\n")
     with pytest.raises(ValueError, match="expected CSV header"):
         NormalizedSolution.load(jpath)
-    cpath.write_text("r,psi,r_dpsi,mass\r\n\r\n")
+    # the old four-column format, which stored M beside rψ̃′
+    cpath.write_text("r,psi,r_dpsi,mass\r\n1,2,3,4\r\n")
+    with pytest.raises(ValueError, match="expected CSV header"):
+        NormalizedSolution.load(jpath)
+    cpath.write_text("r,psi,r_dpsi\r\n\r\n")
     with pytest.raises(ValueError, match="no rows"):
         NormalizedSolution.load(jpath)
 
@@ -54,7 +61,7 @@ def test_resave_writes_the_loaded_residuals(tmp_path):
     # producer's; verify.check_identities recomputes them from the data
     sol = conformal_bubble(1.0, 2.0, make_grid(20.0, 256))
     back = NormalizedSolution.load(sol.save(tmp_path / "bubble.json"))
-    back.mass *= 0.5
+    back.dpsi *= 0.5                    # halves the derived mass too
     jpath = back.save(tmp_path / "halved.json")
     summary = json.loads(jpath.read_text())["residual_summary"]
     assert summary == back.residuals

@@ -2,7 +2,7 @@
 
 check_identities must recompute everything from the ψ̃ samples — so a
 hand-corrupted profile has to light up the report even though its stored
-mass/slope columns still satisfy the invariants they were built with.
+slope column and the mass −rψ̃′/(2β) it implies still satisfy M(r_max) = 1.
 """
 
 import json
@@ -46,8 +46,7 @@ def corrupted_sol(gaussian_sol):
     return NormalizedSolution(
         beta=gaussian_sol.beta, n=gaussian_sol.n,
         psi=gaussian_sol.psi + bump, dpsi=gaussian_sol.dpsi,
-        mass=gaussian_sol.mass, grid=gaussian_sol.grid,
-        potential=gaussian_sol.potential)
+        grid=gaussian_sol.grid, potential=gaussian_sol.potential)
 
 
 def test_corrupted_profile_is_flagged(corrupted_sol):
@@ -91,8 +90,7 @@ def test_log_lip_passes_a_correct_coarse_profile(corrupted_sol):
 def test_potential_required():
     grid = make_grid(20.0, 128)
     sol = NormalizedSolution(beta=1.0, n=0.0, psi=np.zeros(128),
-                             dpsi=np.zeros(128), mass=np.zeros(128),
-                             grid=grid)
+                             dpsi=np.zeros(128), grid=grid)
     with pytest.raises(ValueError, match="no potential"):
         check_identities(sol)
 
@@ -100,8 +98,7 @@ def test_potential_required():
 def test_minimum_resolution_enforced():
     grid = make_grid(20.0, 32)
     sol = NormalizedSolution(beta=1.0, n=0.0, psi=np.zeros(32),
-                             dpsi=np.zeros(32), mass=np.zeros(32),
-                             grid=grid, potential=GAUSS)
+                             dpsi=np.zeros(32), grid=grid, potential=GAUSS)
     with pytest.raises(ValueError, match="at least"):
         check_identities(sol)
 
