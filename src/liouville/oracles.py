@@ -37,8 +37,10 @@ __all__ = [
 
 def conformal_bubble(n_fam, lam, grid):
     """Exact bubble solution with β = 2·n_fam on the given grid."""
-    if n_fam <= 0 or lam <= 0:
-        raise ValueError("n_fam and lambda must be positive")
+    for name, value in (("n_fam", n_fam), ("lam", lam)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value:g}")
     if not isinstance(grid, Grid):
         raise TypeError("grid must be a Grid")
     n = float(n_fam)

@@ -13,7 +13,8 @@ Every weight used by the suite is non-negative and radial.  The catalog:
 Three evaluators read a weight: `value_and_derivative(r)` (V and V′ on an
 array or one radius), `value(r)` (V alone) and `smooth_scalar(r)` (the
 float Ṽ = V/r^n_pow at one radius, finite at the origin, for the shooting
-RHS).
+RHS).  `smooth_lower_bound(r_a, r_b)` bounds Ṽ from below on an interval,
+for shooting's blow-up certificate.
 
 Two structural quantities drive existence theory and are exposed here:
 
@@ -96,6 +97,12 @@ class Potential:
             return self.value(r)
         return float(self.value(max(r, 1e-300)) * _safe_pow(r, -self.n_pow))
 
+    def smooth_lower_bound(self, r_a, r_b):
+        """A rigorous lower bound of Ṽ on [r_a, r_b], 0 ≤ r_a ≤ r_b, for the
+        shooting blow-up certificate.  The base's 0 means no bound: the
+        σ = −1 trajectories of such a weight end through the pole test."""
+        return 0.0
+
     def beta_window(self, n):
         """(lo, hi): the couplings β for which both integrability conditions
         on rⁿV hold for some δ > 0; rⁿV ~ r^{n+n_pow} at 0 sets hi and
@@ -150,6 +157,9 @@ class Constant(Potential):
     def smooth_scalar(self, r):
         return self.c
 
+    def smooth_lower_bound(self, r_a, r_b):
+        return self.c
+
     def log_slope_range(self):
         return 0.0, 0.0
 
@@ -193,6 +203,9 @@ class PowerGauss(Potential):
     def smooth_scalar(self, r):
         return math.exp(-self.gamma * r ** self.alpha_exp)
 
+    def smooth_lower_bound(self, r_a, r_b):
+        return self.smooth_scalar(r_b)        # Ṽ decreases, since γ ≥ 0
+
     def log_slope_range(self):
         # g = n_pow − γ·a·r^a
         return -math.inf if self.gamma > 0 else self.n_pow, self.n_pow
@@ -226,6 +239,13 @@ class Sphere(Potential):
     def smooth_scalar(self, r):
         q = 1.0 + r * r
         return q ** self.l * math.exp(2.0 * self.gamma / q)
+
+    def smooth_lower_bound(self, r_a, r_b):
+        # q^l is monotone in q = 1 + r² and e^{2γ/q} decreases, so the least
+        # of q^l at the ends times e^{2γ/q_b}
+        q_a, q_b = 1.0 + r_a * r_a, 1.0 + r_b * r_b
+        return (q_a if self.l > 0 else q_b) ** self.l \
+            * math.exp(2.0 * self.gamma / q_b)
 
     def log_slope_range(self):
         # g = 4γt² + (2l − 4γ)t on t = r²/(1+r²) ∈ (0, 1): its end values 0
@@ -351,6 +371,15 @@ class Tabulated(Potential):
             v[past] = self.values[-1] * (r[past] / self.radii[-1]) ** p
             dv[past] = p * v[past] / r[past]
         return v, dv
+
+    def smooth_lower_bound(self, r_a, r_b):
+        """Least of V at the two ends and at the nodes between them: the
+        monotone cubic keeps each cell between its node values, and V is
+        constant below the table and a power past it."""
+        inside = self.values[np.searchsorted(self.radii, r_a, side="right"):
+                             np.searchsorted(self.radii, r_b)]
+        return float(min(self.value(np.array([r_a, r_b])).min(),
+                         inside.min(initial=math.inf)))
 
     def has_positivity_annulus(self):
         """At least two positive nodes; V is taken as positive between the

@@ -29,8 +29,28 @@ model ψ(t) ≈ ψ(r_max) + u(r_max)·log(t/r_max), leaving an O(tail²) error i
 truncation radius: its mass density per unit log r decays locally like
 e^{−λ log r}, so the radius where the tail fraction meets the tolerance
 follows in closed form (at least one doubling, at most ``_R_MAX_CAP``).
-Every returned trajectory has passed this tail test; one that has not by
-the cap is a ``MassDivergence``.
+
+A trajectory stops for one of five reasons:
+
+* the tail test: the frozen-slope tail holds less than ``tail_rel_tol`` of
+  the mass.  It is the only way a trajectory is returned;
+* the exponent test: the frozen-slope integrand grows like
+  t^{n_eff+1+p+u}, p the power of Ṽ at infinity, so its tail is infinite
+  when n_eff + 2 + p + u ≥ 0 and is never accepted;
+* a certified blow-up (σ = −1 only).  With σ = −1, ψ_xx = g e^ψ where
+  g = e^{(n_eff+2)x}Ṽ(eˣ) > 0, and u > 0.  If g ≥ g_m on [x₁, x₁ + L],
+  then u² ≥ a + 2g_m e^ψ with a = u₁² − 2g_m e^{ψ₁}, so ψ reaches +∞
+  before x₁ + T, T = ∫_{ψ₁}^∞ dψ/√(a + 2g_m e^ψ) (Keller, CPAM 10, 1957;
+  Osserman, Pacific J. Math. 7, 1957).  g_m comes from
+  ``Potential.smooth_lower_bound``, and T < L certifies the blow-up.  The
+  test runs at each segment start and as a terminal event of the
+  integrator, which leaves DOP853's steps, and so every converged
+  trajectory, bit for bit as they are;
+* the pole test (σ = −1): the step collapses at a pole of e^ψ before any
+  certificate, as for a weight whose lower bound is 0;
+* the cap: the tail test still fails at r_max = ``_R_MAX_CAP``.
+
+Every stop but the tail test is a ``MassDivergence``.
 
 A sweep over many centre values (``mass_map``) is integrated as one DOP853
 system whose state is stored component-major, (ψ₁…ψ_K, u…, φ…, w…): every
@@ -39,7 +59,10 @@ per sweep instead of once per trajectory, while the error norm is the
 largest per-member norm, so each member meets the local tolerance it would
 meet alone (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.10).
 Members leave the batch when their own tail test passes or their mass
-blows up; the rest go on together.
+blows up; the rest go on together.  The certificate's event is the least
+T over the members, and a pole names the member with the largest ψ; either
+way the batch stops there, the member that blew up leaves, and the rest go
+on from that point.
 """
 
 import math
@@ -66,6 +89,9 @@ _R_MAX_CAP = 1e6          # r_max extends up to this, then gives up
 _MAX_EXPAND = 10          # bracket expansions before "not found"
 _MAX_ROOT_ITER = 80       # Newton/bisection steps after the bracket search
 _FIRST_MASS = 1e-12       # mass fraction M(r) at the output grid's first node
+# log-r window L of the σ = −1 blow-up certificate: of 0.25, 0.5, 1 and 2,
+# the one with the fewest RHS evaluations over the measured blow-ups
+_BLOWUP_WINDOW = 1.0
 
 
 class ShootingError(RuntimeError):
@@ -251,10 +277,16 @@ def _tail_integral(V, n_eff, x_end, psi_end, u_end, phi_end=1.0, w_end=0.0):
     """Frozen-slope tail ∫_{r_max}^∞ tⁿ⁺¹V e^ψ (φ_end + w_end·log(t/r_max)) dt.
 
     The defaults give the mass tail; (φ, rφ′) at r_max give the φ tail that
-    corrects β′.  Returns inf when the quadrature fails or is not finite.
+    corrects β′.  The integrand grows like t^{n_eff+1+p+u_end}, p the power
+    of Ṽ at infinity, so the tail is inf, with no quadrature, when
+    n_eff + 2 + p + u_end ≥ 0 and Ṽ(r_max) > 0; also inf when the quadrature
+    fails or is not finite.
     """
     vs = V.smooth_scalar
     r_end = math.exp(x_end)
+    if (n_eff + 2.0 + V.decay_power - V.n_pow + u_end >= 0.0
+            and vs(r_end) > 0.0):
+        return math.inf
 
     def f(t):
         v = vs(t)
@@ -271,6 +303,35 @@ def _tail_integral(V, n_eff, x_end, psi_end, u_end, phi_end=1.0, w_end=0.0):
         except Exception:
             return math.inf
     return tail if math.isfinite(tail) else math.inf
+
+
+def _log_blowup_times(V, k, x, y):
+    """log T of each σ = −1 member at log-radius x, from the component-major
+    state y: e^ψ blows up before x + T.  inf where no bound applies (u ≤ 0,
+    or Ṽ has no positive lower bound on the window).
+
+    With g_m = e^{kx}·Ṽ_low on [x, x + L] (k > 0), T = (2/c)·h(u/c) where
+    c = √(2g_m e^ψ) and h(ρ) = arccos ρ/√(1−ρ²), 1 at ρ = 1, arccosh ρ/√(ρ²−1)
+    past it; see the module docstring.  Everything stays in logs, so nothing
+    overflows; ρ is clipped at e⁴⁰, which only raises T, since h decreases.
+    """
+    size = y.size // 4
+    lv = V.smooth_lower_bound(math.exp(x), math.exp(x + _BLOWUP_WINDOW))
+    if not lv > 0.0:
+        return [math.inf] * size
+    base = math.log(2.0 * lv) + k * x
+    out = []
+    for psi, u in zip(y[:size].tolist(), y[size:2 * size].tolist()):
+        if not u > 0.0:
+            out.append(math.inf)
+            continue
+        half = 0.5 * (base + psi)                               # log c
+        rho = math.exp(min(math.log(u) - half, 40.0))
+        h = (math.acos(rho) / math.sqrt(1.0 - rho * rho) if rho < 1.0
+             else math.acosh(rho) / math.sqrt(rho * rho - 1.0) if rho > 1.0
+             else 1.0)
+        out.append(math.log(2.0) - half + math.log(h))
+    return out
 
 
 def _tail_step(f_end, tail_m, total, tail_rel_tol):
@@ -399,6 +460,17 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
     x_cap = math.log(_R_MAX_CAP)
     x_cur = x0
     one = _batch_rhs(vs, k, sigma, 1)     # per-member density at a segment end
+    log_window = math.log(_BLOWUP_WINDOW)
+
+    def blowup(x, y):
+        """Terminal event of σ = −1: falls through 0 where the least T of
+        the members falls to L/2, so that the check T < L at the next
+        segment start holds with margin wherever the root lands."""
+        log_t = min(_log_blowup_times(V, k, x, y))
+        return min(log_t - log_window, 0.0) + math.log(2.0)
+
+    blowup.terminal, blowup.direction = True, -1
+    events = blowup if sigma == -1 else None
 
     def result(i, y_end, tail_m):
         """ShootResult of member i, stopped at r_max = e^x_cur in state y_end."""
@@ -416,10 +488,27 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
             diagnostics={"n_segments": len(samplers[i].pieces)})
 
     while active:
+        if sigma == -1:
+            # the certificate at the segment start: the event sees only a
+            # sign change, so a member certified here would never fire it
+            size = len(active)
+            keep = []
+            for m, log_t in enumerate(_log_blowup_times(V, k, x_cur, y)):
+                if log_t >= log_window:
+                    keep.append(m)
+                    continue
+                out[active[m]] = MassDivergence(
+                    f"mass did not converge: e^psi blows up before r = "
+                    f"{math.exp(x_cur + math.exp(log_t)):g} (certified at "
+                    f"r = {math.exp(x_cur):g})")
+            active = [active[m] for m in keep]
+            y = y.reshape(4, size)[:, keep].reshape(-1)
+            if not active:
+                break
         size = len(active)
         sol = solve_ivp(_batch_rhs(vs, k, sigma, size), (x_cur, x_target), y,
                         method=_MaxNormDOP853, rtol=c.rel_tol, atol=c.abs_tol,
-                        dense_output=True)
+                        dense_output=True, events=events)
         y_end = sol.y[:, -1]
         top = int(np.argmax(y_end[:size]))
         # a pole-type blow-up shrinks the step below machine spacing while
@@ -440,7 +529,10 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
         x_cur = float(sol.t[-1])
         for m, i in enumerate(active):
             samplers[i].add(x_cur, sol.sol, m, size)
-        if blown:
+        if sol.status == 1:
+            # the event: the next segment start certifies who leaves
+            keep = range(size)
+        elif blown:
             # the member with the largest psi leaves; the rest go on from here
             out[active[top]] = MassDivergence(
                 f"mass did not converge at r_max = {math.exp(x_target):g}: "
@@ -453,14 +545,18 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
                 psi_end, u_end = yj[0], yj[1]
                 tail_m = _tail_integral(V, n_eff, x_cur, psi_end, u_end)
                 total = -sigma * u_end + tail_m
-                # a zero weight has no mass and no tail: done at once
-                if (tail_m / total < c.tail_rel_tol if total > 0.0
+                # a zero weight has no mass and no tail: done at once; a
+                # divergent tail (inf) is never accepted
+                if (tail_m / total < c.tail_rel_tol if math.inf > total > 0.0
                         else tail_m == total == 0.0):
                     out[i] = result(i, yj, tail_m)
                 elif x_cur >= x_cap:
+                    why = (f"tail fraction {tail_m / max(total, 1e-300):.3g}"
+                           if tail_m < math.inf else "frozen-slope tail "
+                           "diverges")
                     out[i] = MassDivergence(
                         f"mass did not converge at r_max = {_R_MAX_CAP:g} "
-                        f"(tail fraction {tail_m / max(total, 1e-300):.3g})")
+                        f"({why})")
                 else:
                     keep.append(j)
                     steps.append(_tail_step(abs(one(x_cur, yj)[1]), tail_m,

@@ -176,6 +176,20 @@ def test_oracle_emission(tmp_path, capsys):
     assert sharp.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--lam", "nan"), ("--lam", "inf"),
+                                         ("--n-fam", "inf"),
+                                         ("--n-fam", "nan")])
+def test_oracle_refuses_a_non_finite_bubble_parameter(tmp_path, capsys, flag,
+                                                      value):
+    # regression: --lam nan exited 0 and wrote a CSV of nan rows
+    out = tmp_path / "o.json"
+    assert run("oracle", "--kind", "bubble", flag, value, "--out", out) == 1
+    name = flag.lstrip("-").replace("-", "_")
+    assert f"{name} must be positive and finite, got {value}" in \
+        capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_app_exit_codes(tmp_path, capsys):
     out = tmp_path / "css.json"
     assert run("app", "css", "--n-int", 1, "--beta", 2, "--out", out) == 0
@@ -375,18 +389,25 @@ def test_flat_family_app_exits_zero(capsys):
     (("app", "sphere", "--l", -1, "--gamma", 1, "--beta", 0.05), 0.035),
     (("solve", "--beta", 0.05, "--potential", "sphere:l=-1,gamma=1"), 0.035),
     (("app", "sphere", "--l", -1.5, "--beta", -0.4), 5.5e-3),
-    (("app", "sphere", "--l", -2.5, "--beta", -1.5), 8.1e-3)],
+    (("app", "sphere", "--l", -2.5, "--beta", -1.5), None)],
     ids=["sphere-gamma1", "solve-sphere-gamma1", "sphere-1.5", "sphere-2.5"])
 def test_truncated_tail_fails_the_gate(tmp_path, capsys, argv, residual):
     # regression: these slow tails stop at the 10⁶ cap with the mass still
     # arriving; no condition refuses them, check_identities did, yet the
-    # command printed the profile and exited 0
+    # command printed the profile and exited 0.  β = −1.5 is the finite-mass
+    # edge of l = −2.5: past the last converged centre the frozen-slope tail
+    # diverges (rψ′ ≥ 3), so the search ends at adjacent doubles, exit 1,
+    # before any truncated profile reaches the gate (8.1e-3 before the tail
+    # test)
     out = tmp_path / "s.json"
     assert run(*argv, "--out", out) == 1
     err = capsys.readouterr().err
-    found = float(err.split("pokhozhaev_residual = ")[1].split()[0])
-    assert found == pytest.approx(residual, rel=0.05)
-    assert "exceeds its bound 0.0001" in err
+    if residual is None:
+        assert "adjacent doubles" in err and "and -inf there" in err
+    else:
+        found = float(err.split("pokhozhaev_residual = ")[1].split()[0])
+        assert found == pytest.approx(residual, rel=0.05)
+        assert "exceeds its bound 0.0001" in err
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
 

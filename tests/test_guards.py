@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from liouville.cli import _CONTROL_KEYS
+from liouville.potentials import LogSingular, Potential
 from liouville.shooting import Controls
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,6 +179,16 @@ def test_no_module_tests_a_weight_type():
     found = [(path.stem, func, cls) for path in sorted(PACKAGE.glob("*.py"))
              for func, cls in _weight_type_tests(path)]
     assert [site for site in found if site not in ALLOWED_WEIGHT_TESTS] == []
+
+
+def test_every_shootable_weight_bounds_its_smooth_factor():
+    # the base class's bound of 0 switches shooting's blow-up certificate
+    # off; a new weight that forgot the method would lose it silently
+    catalog = [cls for cls in Potential.__subclasses__()
+               if cls.__module__ == Potential.__module__]
+    assert sorted(cls.__name__ for cls in catalog) == sorted(WEIGHT_CLASSES)
+    assert [cls.__name__ for cls in catalog if cls is not LogSingular
+            and cls.smooth_lower_bound is Potential.smooth_lower_bound] == []
 
 
 def _nonexistence_sites(path):

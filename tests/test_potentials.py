@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
@@ -541,3 +541,39 @@ def test_power_gauss_derivative_property(npw, gamma, a, r):
     step = 1e-5 * max(r, 1.0)
     fd = (V.value(r + step) - V.value(r - step)) / (2.0 * step)
     assert dv == pytest.approx(fd, rel=5e-4, abs=5e-7)
+
+
+_TABLE_R = np.geomspace(1e-3, 200.0, 400)
+# every weight that shooting accepts, with a ring-type table (a bump at r = 5
+# over a faint core), a power-tail table, and a rising one
+SHOOTABLE = [
+    Constant(0.7),
+    PowerGauss(n_pow=0.0, gamma=1.0, alpha_exp=2.0),
+    PowerGauss(n_pow=2.0, gamma=0.5, alpha_exp=1.0),
+    PowerGauss(n_pow=1.0, gamma=0.0, alpha_exp=2.0),
+    Sphere(l=-1.0, gamma=0.0),
+    Sphere(l=-1.0, gamma=1.0),
+    Sphere(l=1.5, gamma=2.0),
+    Sphere(l=-2.5, gamma=0.3),
+    Tabulated(_TABLE_R, np.exp(-(_TABLE_R - 5.0) ** 2)
+              + 1e-3 * np.exp(-_TABLE_R)),
+    Tabulated(_TABLE_R, (1.0 + _TABLE_R ** 2) ** -1.5),
+    Tabulated(_TABLE_R, _TABLE_R / (1.0 + _TABLE_R)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(SHOOTABLE) - 1),
+       ends=st.tuples(st.floats(-8.0, 6.0), st.floats(-8.0, 6.0)),
+       from_zero=st.booleans())
+# the ring's least value on [0.1, 5] is at an interior node, near r = 2
+@example(which=8, ends=(-1.0, math.log10(5.0)), from_zero=False)
+def test_smooth_lower_bound_is_below_the_weight(which, ends, from_zero):
+    # the blow-up certificate of shooting is rigorous only if this bound is:
+    # Ṽ on 257 log-spaced points of [r_a, r_b] never falls below it
+    V = SHOOTABLE[which]
+    lo, hi = sorted(10.0 ** e for e in ends)
+    r_a = 0.0 if from_zero else lo
+    bound = V.smooth_lower_bound(r_a, hi)
+    values = [V.smooth_scalar(r) for r in np.geomspace(lo, hi, 257)]
+    assert 0.0 <= bound <= min(values + [V.smooth_scalar(r_a)]) * (1 + 1e-12)

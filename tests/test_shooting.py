@@ -10,11 +10,12 @@ truth; the adaptive backend must land on it.
 
 import math
 import re
+import warnings
 from bisect import bisect_right
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, quad
 
 from liouville import shooting
 from liouville.oracles import conformal_bubble
@@ -142,10 +143,88 @@ def test_blowup_reports_mass_divergence():
 
 @pytest.mark.parametrize("V", [GAUSS, Constant(1.0)], ids=["gauss", "const"])
 def test_blowup_just_below_the_exponent_clamp_is_mass_divergence(V):
-    # s = 699.9 starts 0.1 below _PSI_CAP: the step-collapse pole test alone
-    # must name the blow-up, with no overflow event to stop the integrator
+    # s = 699.9 starts 0.1 below _PSI_CAP: the blow-up certificate, kept in
+    # logs, names the blow-up with nothing overflowing; the pole test that
+    # backs it up is pinned by test_weight_without_a_bound_ends_at_the_pole
     with pytest.raises(MassDivergence, match="blows up"):
         integrate_ivp(V, 0.0, 699.9, sigma=-1)
+
+
+class _Unbounded(Constant):
+    """V ≡ c with the base class's bound of 0: no blow-up certificate."""
+
+    def smooth_lower_bound(self, r_a, r_b):
+        return 0.0
+
+
+def _rhs_evals(monkeypatch):
+    """The ``nfev`` of every ``solve_ivp`` call of shooting, in a list."""
+    solve_ivp = shooting.solve_ivp
+    counted = []
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        counted.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(shooting, "solve_ivp", counting)
+    return counted
+
+
+def test_certified_blowup_ends_a_diverging_trajectory_early(monkeypatch):
+    # regression: DOP853 crept toward the pole until its step collapsed,
+    # 5420 RHS evaluations for this trajectory
+    counted = _rhs_evals(monkeypatch)
+    with pytest.raises(MassDivergence,
+                       match="did not converge.*blows up before r = "):
+        integrate_ivp(GAUSS, 0.0, 4.0, sigma=-1)
+    assert sum(counted) < 1000
+
+
+@pytest.mark.parametrize("s", [1.0, 40.0])
+def test_weight_without_a_bound_ends_at_the_pole(s):
+    # a bound of 0 certifies nothing, so the pole test names the blow-up;
+    # it lies inside the radius that the certificate gives for V ≡ 1
+    with pytest.raises(MassDivergence, match="blows up near r = ") as pole:
+        integrate_ivp(_Unbounded(1.0), 0.0, s, sigma=-1)
+    with pytest.raises(MassDivergence, match="certified") as sure:
+        integrate_ivp(Constant(1.0), 0.0, s, sigma=-1)
+    r_pole = float(str(pole.value).rsplit("near r = ", 1)[1])
+    r_bound = float(re.search(r"before r = (\S+)", str(sure.value))[1])
+    assert r_pole <= r_bound
+
+
+@pytest.mark.parametrize("s", [-3.0, -6.0])
+def test_divergent_frozen_slope_tail_is_never_accepted(s):
+    # regression: g = r²Ṽ → 1 at infinity, so every σ = −1 trajectory
+    # blows up, yet a tail quad of −0.324 (s = −3) and of −3.4e-9 at the
+    # 10⁶ cap (s = −6) was accepted with a negative β
+    with pytest.raises(MassDivergence, match="did not converge"):
+        integrate_ivp(Sphere(-1.0, 1.0), 0.0, s, sigma=-1)
+
+
+@pytest.mark.parametrize("psi", [-700.0, 0.0, 699.9, 2000.0])
+@pytest.mark.parametrize("x", [math.log(1e-300), 0.0, math.log(1e6)])
+def test_blowup_time_never_overflows(psi, x):
+    u = np.array([1e-300, 1e-8, 1.0, 1e8, 1e300])
+    y = np.concatenate([np.full(5, psi), u, np.ones(5), np.zeros(5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_t = shooting._log_blowup_times(Constant(1.0), 2.0, x, y)
+    assert not any(math.isnan(v) for v in log_t)
+
+
+@pytest.mark.parametrize("u", [0.05, 1.0, 2.0 ** 0.5, 3.0, 40.0])
+def test_blowup_time_matches_its_integral(u):
+    # T = ∫_ψ₁^∞ dψ/√(a + 2g e^ψ), a = u² − 2g e^ψ₁: at ψ₁ = 0 and g = 1,
+    # a < 0, a = 0 and a > 0 in turn
+    y = np.array([0.0, u, 1.0, 0.0])
+    log_t = shooting._log_blowup_times(Constant(1.0), 2.0, 0.0, y)[0]
+    a = u * u - 2.0
+    # the integrand falls like e^{−ψ/2}: the part past ψ = 200 is below 1e-43
+    exact = quad(lambda t: 1.0 / math.sqrt(a + 2.0 * math.exp(t)),
+                 0.0, 200.0, limit=200)[0]
+    assert math.exp(log_t) == pytest.approx(exact, rel=1e-8)
 
 
 def test_log_singular_weight_rejected():
@@ -215,6 +294,11 @@ def test_mass_map_keeps_order_and_per_entry_errors():
     assert all("did not converge" in e.error for e in entries if e.error)
     good = [e for e in entries if e.error is None]
     assert all(e.beta < 0.0 and math.isfinite(e.beta_prime) for e in good)
+    # the certified members leave the batch at the certificate's event and
+    # the rest go on from there, each within 1e-8 of its solo trajectory
+    for e in good:
+        solo = integrate_ivp(GAUSS, 0.0, e.s, sigma=-1)
+        assert e.beta == pytest.approx(solo.beta_s, abs=1e-8)
     # mass_map is one batched integration; its accuracy against a tight
     # solo reference is pinned by test_batched_sweep_is_accurate
     batch = integrate_ivp(GAUSS, 0.0, s_list, sigma=-1)
