@@ -10,8 +10,7 @@ command exits 2.  Console numbers are rounded to 6 significant digits; files
 always carry full double precision.
 
 Potentials are given as one-line descriptors, e.g. ``gauss:gamma=1,alpha=2``
-or ``table=weights.csv``; `Controls` defaults may be collected in a flat
-``key=value`` config file passed via ``--config`` (explicit flags win).
+or ``table=weights.csv``.
 """
 
 import csv
@@ -27,7 +26,7 @@ from .applications import (CSS, Onsager, SphericalOnsager,
 from .grids import make_grid
 from .oracles import conformal_bubble, sharp_regularity_example
 from .potentials import parse_potential
-from .shooting import (Controls, NonexistenceError, ShootingError, mass_map,
+from .shooting import (NonexistenceError, ShootingError, mass_map,
                        solve_for_beta)
 from .solution import NormalizedSolution
 from .variational import EnergyUnboundedError, variational_solve
@@ -36,8 +35,6 @@ from .verify import MASS_BOUND, POKHOZHAEV_BOUND, check_identities
 __all__ = ["cli", "main", "plot_svg", "SCAN_HEADER"]
 
 SCAN_HEADER = ["s", "beta", "beta_prime"]
-# the Controls fields a --config file may set
-_CONTROL_KEYS = ("abs_tol", "rel_tol", "tail_rel_tol", "root_tol")
 
 
 def _fmt(x):
@@ -57,34 +54,6 @@ def _numbers(text, option, count=None):
                 else f"{count} comma-separated numbers")
         raise click.UsageError(f"--{option} wants {want}, got {text!r}")
     return values
-
-
-def _controls(config_path, **flags):
-    """Controls from the config file's key=value lines, overlaid by the
-    explicitly given flags."""
-    c = Controls()
-    lines = Path(config_path).read_text().splitlines() if config_path else []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, raw = line.partition("=")
-        key = key.strip()
-        if not eq:
-            raise ValueError(f"{config_path}:{lineno}: expected key=value")
-        if key not in _CONTROL_KEYS:
-            raise click.UsageError(
-                f"unknown key {key!r} in config file {config_path} "
-                f"(accepted: {', '.join(_CONTROL_KEYS)})")
-        try:
-            setattr(c, key, float(raw))
-        except ValueError:
-            raise ValueError(f"{config_path}:{lineno}: {key} wants a number, "
-                             f"got {raw.strip()!r}")
-    for key, value in flags.items():
-        if value is not None:
-            setattr(c, key, value)
-    return c
 
 
 def _save(sol, out_path):
@@ -125,25 +94,6 @@ def _summary(sol, report=None):
     return "  ".join(bits)
 
 
-_CONFIG_OPT = click.option(
-    "--config", "config_path", default=None,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Flat key=value file with tolerance defaults.")
-_TOL_OPTS = [
-    click.option("--abs-tol", type=float, default=None,
-                 help="Integrator absolute tolerance."),
-    click.option("--rel-tol", type=float, default=None,
-                 help="Integrator relative tolerance."),
-]
-
-
-def _with_tolerances(fn):
-    fn = _CONFIG_OPT(fn)
-    for opt in _TOL_OPTS:
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 def cli():
     """Radial Liouville solver: -Δψ = 4πβ Ve^ψ on the plane, unit mass."""
@@ -165,23 +115,18 @@ def cli():
 @click.option("--bracket", default=None,
               help="Initial ψ(0) bracket for the root search, shooting "
                    "only.  [default: -4,4]")
-@_with_tolerances
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="Output basename; writes .json and .csv.")
-def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
-          config_path, out_path):
+def solve(method, beta, n_exp, potential_spec, bracket, out_path):
     """Produce a unit-mass solution and its identity report; exit 2 if no
     solution can exist."""
     V = _potential_or_usage(potential_spec)
     if method == "shooting":
-        controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
         ends = _numbers("-4,4" if bracket is None else bracket, "bracket", 2)
-        sol = solve_for_beta(V, n_exp, beta, ends, controls)
+        sol = solve_for_beta(V, n_exp, beta, ends)
     else:
-        for flag, value in (("--abs-tol", abs_tol), ("--rel-tol", rel_tol),
-                            ("--config", config_path), ("--bracket", bracket)):
-            if value is not None:
-                raise click.UsageError(f"the variational backend takes no {flag}")
+        if bracket is not None:
+            raise click.UsageError("the variational backend takes no --bracket")
         sol, _ = variational_solve(V, n_exp, beta)
     click.echo(_summary(sol, _checked(sol)))
     if out_path:
@@ -203,13 +148,10 @@ def solve(method, beta, n_exp, potential_spec, bracket, abs_tol, rel_tol,
               help="Explicit comma-separated ψ(0) values (overrides range).")
 @click.option("--sigma", type=click.Choice(["1", "-1"]), default="1",
               show_default=True, help="Coupling sign branch.")
-@_with_tolerances
 @click.option("--out", "out_path", required=True, type=click.Path())
-def scan(n_exp, potential_spec, s_range, points, s_list, sigma, abs_tol,
-         rel_tol, config_path, out_path):
+def scan(n_exp, potential_spec, s_range, points, s_list, sigma, out_path):
     """Tabulate the mass map s ↦ (β(s), β′(s)) as CSV."""
     V = _potential_or_usage(potential_spec)
-    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if s_list is not None:
         values = _numbers(s_list, "s-list")
     else:
@@ -217,7 +159,7 @@ def scan(n_exp, potential_spec, s_range, points, s_list, sigma, abs_tol,
         if points < 2:
             raise click.UsageError("--points must be at least 2")
         values = np.linspace(lo, hi, points).tolist()
-    entries = mass_map(V, n_exp, values, controls, sigma=int(sigma))
+    entries = mass_map(V, n_exp, values, sigma=int(sigma))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCAN_HEADER)
@@ -299,12 +241,10 @@ def oracle(kind, lam, n_fam, alpha, radius, nodes, out_path):
               help="CSS magnetic field strength.")
 @click.option("--scan", "scan_list", default=None,
               help="Onsager only: comma list of β_stat values → CSV table.")
-@_with_tolerances
 @click.option("--out", "out_path", default=None, type=click.Path())
 def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
-        scan_list, abs_tol, rel_tol, config_path, out_path):
+        scan_list, out_path):
     """Solve a physics preset (or sweep Onsager temperatures)."""
-    controls = _controls(config_path, abs_tol=abs_tol, rel_tol=rel_tol)
     if scan_list is not None:
         if kind != "onsager":
             raise click.UsageError("--scan only applies to the onsager kind")
@@ -312,7 +252,7 @@ def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
             raise click.UsageError("--scan needs --out for the CSV table")
         rows = onsager_temperature_scan(n_exp, gamma if gamma is not None
                                         else 1.0, alpha_exp,
-                                        _numbers(scan_list, "scan"), controls)
+                                        _numbers(scan_list, "scan"))
         scan_rows_to_csv(rows, out_path)
         for row in rows:
             click.echo(f"beta_stat={_fmt(row.param)} -> {row.verdict}")
@@ -333,7 +273,7 @@ def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
         if n_int is None or beta is None:
             raise click.UsageError("css needs --n-int and --beta")
         spec = CSS(n_int=n_int, beta=beta, B=b_field)
-    sol = solve_app(spec, controls)
+    sol = solve_app(spec)
     click.echo(_summary(sol, _checked(sol)))
     if out_path:
         _save(sol, out_path)

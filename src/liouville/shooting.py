@@ -36,7 +36,10 @@ A trajectory stops for one of five reasons:
   the mass.  It is the only way a trajectory is returned;
 * the exponent test: the frozen-slope integrand grows like
   t^{n_eff+1+p+u}, p the power of Ṽ at infinity, so its tail is infinite
-  when n_eff + 2 + p + u ≥ 0 and is never accepted;
+  when n_eff + 2 + p + u ≥ 0 and is never accepted.  With σ = −1, u only
+  grows, so ψ is convex in log r and the frozen-slope tail bounds the true
+  tail from below: an infinite one stays infinite, and the trajectory
+  stops at once;
 * a certified blow-up (σ = −1 only).  With σ = −1, ψ_xx = g e^ψ where
   g = e^{(n_eff+2)x}Ṽ(eˣ) > 0, and u > 0.  If g ≥ g_m on [x₁, x₁ + L],
   then u² ≥ a + 2g_m e^ψ with a = u₁² − 2g_m e^{ψ₁}, so ψ reaches +∞
@@ -73,7 +76,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import DOP853, IntegrationWarning, quad, solve_ivp
 
-from .grids import make_grid
+from .grids import MIN_NODES, make_grid
 from .potentials import LogSingular, certify, check_exponent
 from .solution import NormalizedSolution
 
@@ -128,10 +131,19 @@ class PrecisionLimitError(NotFoundError):
     ranges are those of the two ends."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Controls:
-    """Integrator and root-finder settings that callers set (tolerances,
-    the first truncation radius, the output grid size).
+    """Integrator and root-finder settings (tolerances, the first truncation
+    radius, the output grid size), set by API callers and tests.  The
+    command line always runs at the defaults, the settings at which the
+    gate bounds of ``verify``, ``n_sample`` and ``_BLOWUP_WINDOW`` were
+    measured.
+
+    Construction refuses, naming the field, a tolerance that is negative or
+    not finite, an ``r_max`` that is not positive and finite, and an
+    ``n_sample`` below ``grids.MIN_NODES``: such values stall the
+    integrator or fail deep inside a solve.  ``tail_rel_tol = 0`` is legal
+    and extends every trajectory to the cap.
 
     ``r_max`` only sets where the first segment ends: every trajectory is
     extended past it until its tail fraction meets ``tail_rel_tol``.
@@ -150,6 +162,19 @@ class Controls:
     tail_rel_tol: float = 1e-8   # stop when tail_mass/total < this
     root_tol: float = 1e-8       # |β(s*) − β_target|
     n_sample: int = 4096         # output grid size
+
+    def __post_init__(self):
+        for name in ("abs_tol", "rel_tol", "tail_rel_tol", "root_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"Controls.{name} must be finite and "
+                                 f"non-negative, got {value!r}")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"Controls.r_max must be positive and finite, "
+                             f"got {self.r_max!r}")
+        if not self.n_sample >= MIN_NODES:
+            raise ValueError(f"Controls.n_sample must be at least {MIN_NODES}, "
+                             f"got {self.n_sample!r}")
 
 
 @dataclass
@@ -550,6 +575,10 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
                 if (tail_m / total < c.tail_rel_tol if math.inf > total > 0.0
                         else tail_m == total == 0.0):
                     out[i] = result(i, yj, tail_m)
+                elif sigma == -1 and tail_m == math.inf:
+                    out[i] = MassDivergence(
+                        f"mass did not converge: the frozen-slope tail "
+                        f"diverges at r = {math.exp(x_cur):g}")
                 elif x_cur >= x_cap:
                     why = (f"tail fraction {tail_m / max(total, 1e-300):.3g}"
                            if tail_m < math.inf else "frozen-slope tail "
@@ -707,7 +736,9 @@ def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
     nearest the target, taken when it lands strictly inside the bracket and
     moves at most half the previous step (the bracket width before the
     first step); bisection otherwise, a step of half the bracket width.
-    Stops with PrecisionLimitError once the ends are adjacent doubles.
+    Stops once the ends are adjacent doubles: with NotFoundError when the
+    mass diverges at one end, since the target then lies at the end of the
+    reachable range, else with PrecisionLimitError.
     """
     g_hi = shoot(s_hi)
     last = s_hi - s_lo
@@ -722,6 +753,20 @@ def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
             s_new = 0.5 * (s_lo + s_hi)
             if s_new in (s_lo, s_hi):
                 b_lo, b_hi = (_beta(evaluated[s], sigma) for s in (s_lo, s_hi))
+                if math.isinf(b_lo) or math.isinf(b_hi):
+                    # g changes sign across the bracket: one end is finite
+                    s_fin, s_inf = ((s_lo, s_hi) if math.isinf(b_hi)
+                                    else (s_hi, s_lo))
+                    finite = [r.beta_s for r in evaluated.values()
+                              if r is not None]
+                    raise NotFoundError(
+                        f"target beta = {beta_target:.12g} lies at the end of "
+                        f"the reachable range: beta = "
+                        f"{evaluated[s_fin].beta_s:.12g} at "
+                        f"s = {s_fin!r}, and the mass diverges from the next "
+                        f"double, s = {s_inf!r}, on",
+                        beta_range=(min(finite), max(finite)),
+                        s_range=(min(evaluated), max(evaluated)))
                 raise PrecisionLimitError(
                     f"beta root cannot be resolved in double precision: the "
                     f"bracket ends s = {s_lo!r} and {s_hi!r} are adjacent "

@@ -242,53 +242,6 @@ def test_plot_svg_deterministic(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
-def test_config_file_supplies_tolerances(tmp_path, capsys):
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text("abs_tol=1e-11\nrel_tol=1e-9\n")
-    assert run("solve", "--beta", 1, "--potential", GAUSS,
-               "--config", cfg) == 0
-    assert "beta=1 " in capsys.readouterr().out
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    # a misspelt key (dash for underscore) would otherwise be ignored silently
-    cfg = tmp_path / "typo.cfg"
-    cfg.write_text("root-tol=1e-30\n")
-    assert run("solve", "--beta", 1, "--potential", GAUSS,
-               "--config", cfg) == 1
-    assert "'root-tol'" in capsys.readouterr().err
-    # the truncation radius is no setting: every trajectory runs until its
-    # tail test passes
-    cfg.write_text("r_max=40\n")
-    assert run("solve", "--beta", 1, "--potential", GAUSS,
-               "--config", cfg) == 1
-    assert "unknown key 'r_max'" in capsys.readouterr().err
-
-
-def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
-    cfg = tmp_path / "commented.cfg"
-    cfg.write_text("# tolerances\n\n  abs_tol = 1e-11  \n# end\n")
-    assert run("solve", "--beta", 1, "--potential", GAUSS,
-               "--config", cfg) == 0
-    assert "beta=1 " in capsys.readouterr().out
-
-
-def test_config_file_malformed_line_names_its_location(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("abs_tol=1e-11\nnot a pair\n")
-    assert run("solve", "--beta", 1, "--potential", GAUSS,
-               "--config", cfg) == 1
-    assert "run.cfg:2" in capsys.readouterr().err
-
-
-def test_config_file_rejects_non_numeric_values(tmp_path, capsys):
-    cfg = tmp_path / "words.cfg"
-    cfg.write_text("rel_tol=tight\n")
-    assert run("solve", "--beta", 1, "--potential", GAUSS,
-               "--config", cfg) == 1
-    assert "'tight'" in capsys.readouterr().err
-
-
 def test_onsager_without_confinement_is_nonexistence(capsys):
     # --gamma 0 makes V ≡ 1, whose only coupling is β_eq = n + 2 = 2; at
     # β_eq = 1 finite mass alone exits 2
@@ -333,19 +286,33 @@ def test_shooting_radius_is_a_usage_error(tmp_path, capsys):
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--abs-tol", "1e-6"), ("--rel-tol", "1e-6"), ("--config", None),
-    ("--bracket", "1,2")])
-def test_variational_refuses_shooting_tolerances(tmp_path, capsys, flag,
+_TOLERANCES = (("--abs-tol", "1e-6"), ("--rel-tol", "1e-6"),
+               ("--config", None))
+_SHOOTING = {"shooting": ("solve", "--beta", 1, "--potential", GAUSS),
+             "scan": ("scan", "--s-list", "0,1", "--potential", GAUSS),
+             "app": ("app", "css", "--n-int", 1, "--beta", 2)}
+_REFUSALS = (
+    [pytest.param(("solve", "--method", "variational", "--beta", 1,
+                   "--potential", GAUSS), flag, value, id=f"{flag}-{value}")
+     for flag, value in _TOLERANCES + (("--bracket", "1,2"),)]
+    + [pytest.param(argv, flag, value, id=f"{name}{flag}")
+       for name, argv in _SHOOTING.items() for flag, value in _TOLERANCES])
+
+
+@pytest.mark.parametrize("argv, flag, value", _REFUSALS)
+def test_variational_refuses_shooting_tolerances(tmp_path, capsys, argv, flag,
                                                   value):
     # regression: the variational backend parsed these and then ignored
-    # them; a config with tail_rel_tol=1e-3 exited 0 and stored 1e-8
+    # them; a config with tail_rel_tol=1e-3 exited 0 and stored 1e-8.  No
+    # command takes a tolerance now: they run at the default Controls, at
+    # which the gate bounds were measured (a config with root_tol=1 made
+    # solve exit 0 with beta=1.57252 for target 1, --abs-tol nan never
+    # returned)
     if value is None:
         value = tmp_path / "c.cfg"
-        value.write_text("tail_rel_tol=1e-3\n")
+        value.write_text("root_tol=1\n")
     out = tmp_path / "v.json"
-    assert run("solve", "--method", "variational", "--beta", 1,
-               "--potential", GAUSS, flag, value, "--out", out) == 1
+    assert run(*argv, flag, value, "--out", out) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
@@ -396,14 +363,17 @@ def test_truncated_tail_fails_the_gate(tmp_path, capsys, argv, residual):
     # arriving; no condition refuses them, check_identities did, yet the
     # command printed the profile and exited 0.  β = −1.5 is the finite-mass
     # edge of l = −2.5: past the last converged centre the frozen-slope tail
-    # diverges (rψ′ ≥ 3), so the search ends at adjacent doubles, exit 1,
-    # before any truncated profile reaches the gate (8.1e-3 before the tail
-    # test)
+    # diverges (rψ′ ≥ 3), so the search ends at adjacent doubles whose upper
+    # end diverges, exit 1, before any truncated profile reaches the gate
+    # (8.1e-3 before the tail test).  The cause is the edge, not double
+    # precision, and the refusal says so
     out = tmp_path / "s.json"
     assert run(*argv, "--out", out) == 1
     err = capsys.readouterr().err
     if residual is None:
-        assert "adjacent doubles" in err and "and -inf there" in err
+        assert "lies at the end of the reachable range" in err
+        assert "the mass diverges from the next double" in err
+        assert "double precision" not in err
     else:
         found = float(err.split("pokhozhaev_residual = ")[1].split()[0])
         assert found == pytest.approx(residual, rel=0.05)

@@ -127,6 +127,28 @@ def test_slow_tail_jumps_to_the_predicted_radius(V, s):
     assert fraction < Controls().tail_rel_tol
 
 
+_OUT_OF_DOMAIN = (
+    [(name, value) for name in ("abs_tol", "rel_tol", "tail_rel_tol",
+                                "root_tol")
+     for value in (math.nan, math.inf, -math.inf, -1e-9)]
+    + [("r_max", value) for value in (math.nan, math.inf, 0.0, -8.0)]
+    + [("n_sample", 15), ("n_sample", 0)])
+
+
+@pytest.mark.parametrize("name, value", _OUT_OF_DOMAIN,
+                         ids=[f"{n}={v}" for n, v in _OUT_OF_DOMAIN])
+def test_controls_refuse_a_value_out_of_its_domain(name, value):
+    # regression: integrate_ivp(PowerGauss(0, 1, 2), 0, 1, Controls(abs_tol=
+    # nan)) and any trajectory under Controls(r_max=nan) ran for over 30 s
+    # without returning.  A zero tolerance and the benchmark's warm-up
+    # controls stay legal
+    with pytest.raises(ValueError, match=rf"Controls\.{name} must be .*"
+                                         rf"got {value!r}"):
+        Controls(**{name: value})
+    Controls(abs_tol=0.0, tail_rel_tol=0.0, r_max=8.0, n_sample=16)
+    Controls(r_max=8.0, n_sample=64)
+
+
 def test_zero_tail_tolerance_doubles_to_the_cap():
     # the jump's target log(tol·total) is undefined at tol = 0: the radius
     # doubles, and the bubble's r⁻² tail never meets a zero tolerance, so
@@ -201,6 +223,24 @@ def test_divergent_frozen_slope_tail_is_never_accepted(s):
     # 10⁶ cap (s = −6) was accepted with a negative β
     with pytest.raises(MassDivergence, match="did not converge"):
         integrate_ivp(Sphere(-1.0, 1.0), 0.0, s, sigma=-1)
+
+
+def test_divergent_tail_stops_a_negative_coupling_trajectory_at_once(
+        monkeypatch):
+    # regression: with σ = −1, u = rψ′ only grows, so a frozen-slope tail
+    # that diverges once diverges for good; yet the trajectory ran 15 tail
+    # tests, every one inf, from r = 64 to the 10⁶ cap
+    tail = shooting._tail_integral
+    tails = []
+
+    def counting_tail(*args, **kwargs):
+        tails.append(tail(*args, **kwargs))
+        return tails[-1]
+
+    monkeypatch.setattr(shooting, "_tail_integral", counting_tail)
+    with pytest.raises(MassDivergence, match="frozen-slope tail diverges"):
+        integrate_ivp(Sphere(-1.0, 1.0), 0.0, -6.0, sigma=-1)
+    assert tails == [math.inf]
 
 
 @pytest.mark.parametrize("psi", [-700.0, 0.0, 699.9, 2000.0])
