@@ -25,7 +25,8 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .potentials import PowerGauss, Sphere
-from .shooting import NonexistenceError, ShootingError, solve_for_beta
+from .shooting import (DEFAULT_BRACKET, NonexistenceError, ShootingError,
+                       solve_for_beta)
 
 __all__ = [
     "Onsager", "SphericalOnsager", "CSS", "ScanRow", "solve_app",
@@ -33,8 +34,6 @@ __all__ = [
 ]
 
 SCAN_CSV_HEADER = ["param", "verdict", "psi0", "mass_inner", "beta_eq"]
-# initial ψ(0) bracket of every preset solve (the CLI's default)
-_BRACKET = (-4.0, 4.0)
 # a scan row is flagged as concentrating when ψ(0) exceeds this and more
 # than this share of the mass lies inside r < 0.1
 _PSI0_CONCENTRATED = 20.0
@@ -95,7 +94,7 @@ def solve_app(spec, controls=None):
     Errors are the solver's: NonexistenceError when a necessary condition
     fails, ValueError at zero coupling, other ShootingErrors otherwise.
     """
-    sol = solve_for_beta(*spec.problem(), _BRACKET, controls)
+    sol = solve_for_beta(*spec.problem(), DEFAULT_BRACKET, controls)
     sol.meta["application"] = spec.__class__.__name__
     return sol
 

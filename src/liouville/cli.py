@@ -26,8 +26,8 @@ from .applications import (CSS, Onsager, SphericalOnsager,
 from .grids import make_grid
 from .oracles import conformal_bubble, sharp_regularity_example
 from .potentials import parse_potential
-from .shooting import (NonexistenceError, ShootingError, mass_map,
-                       solve_for_beta)
+from .shooting import (DEFAULT_BRACKET, NonexistenceError, ShootingError,
+                       mass_map, solve_for_beta)
 from .solution import NormalizedSolution
 from .variational import EnergyUnboundedError, variational_solve
 from .verify import MASS_BOUND, POKHOZHAEV_BOUND, check_identities
@@ -114,7 +114,7 @@ def cli():
               show_default=True, help="Descriptor name:key=val,...")
 @click.option("--bracket", default=None,
               help="Initial ψ(0) bracket for the root search, shooting "
-                   "only.  [default: -4,4]")
+                   "only.  [default: {:g},{:g}]".format(*DEFAULT_BRACKET))
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="Output basename; writes .json and .csv.")
 def solve(method, beta, n_exp, potential_spec, bracket, out_path):
@@ -122,7 +122,8 @@ def solve(method, beta, n_exp, potential_spec, bracket, out_path):
     solution can exist."""
     V = _potential_or_usage(potential_spec)
     if method == "shooting":
-        ends = _numbers("-4,4" if bracket is None else bracket, "bracket", 2)
+        ends = (DEFAULT_BRACKET if bracket is None
+                else _numbers(bracket, "bracket", 2))
         sol = solve_for_beta(V, n_exp, beta, ends)
     else:
         if bracket is not None:

@@ -12,9 +12,9 @@ Every weight used by the suite is non-negative and radial.  The catalog:
 
 Three evaluators read a weight: `value_and_derivative(r)` (V and V′ on an
 array or one radius), `value(r)` (V alone) and `smooth_scalar(r)` (the
-float Ṽ = V/r^n_pow at one radius, finite at the origin, for the shooting
-RHS).  `smooth_lower_bound(r_a, r_b)` bounds Ṽ from below on an interval,
-for shooting's blow-up certificate.
+float Ṽ = V/r^n_pow at one radius, for the shooting RHS).  Shooting also
+reads Ṽ(0), its series start (`smooth_at_origin()`), and a lower bound of Ṽ
+on an interval, its blow-up certificate (`smooth_lower_bound(r_a, r_b)`).
 
 Two structural quantities drive existence theory and are exposed here:
 
@@ -91,11 +91,14 @@ class Potential:
         return self.value_and_derivative(r)[0]
 
     def smooth_scalar(self, r):
-        """Ṽ(r) = V(r)/r^n_pow at one radius r ≥ 0, as a float, finite at
-        the origin; the shooting RHS reads it."""
+        """Ṽ = V/r^n_pow as a float at one radius r ≥ 0, for the shooting RHS."""
         if self.n_pow == 0:
             return self.value(r)
         return float(self.value(max(r, 1e-300)) * _safe_pow(r, -self.n_pow))
+
+    def smooth_at_origin(self):
+        """Ṽ(0); None when no solution has a finite centre value."""
+        return self.smooth_scalar(0.0)
 
     def smooth_lower_bound(self, r_a, r_b):
         """A rigorous lower bound of Ṽ on [r_a, r_b], 0 ≤ r_a ≤ r_b, for the
@@ -309,6 +312,9 @@ class LogSingular(Potential):
         # rⁿV ~ r^{n−2}(−log r)^{−3/2}: integrable against r^{1−β−δ} iff
         # β+δ ≤ n
         return beta + delta <= n
+
+    def smooth_at_origin(self):
+        return None     # the solution falls to −∞ at the origin
 
     def has_positivity_annulus(self):
         return True     # V > 0 on 0 < r ≤ alpha_cut

@@ -77,15 +77,16 @@ import numpy as np
 from scipy.integrate import DOP853, IntegrationWarning, quad, solve_ivp
 
 from .grids import MIN_NODES, make_grid
-from .potentials import LogSingular, certify, check_exponent
+from .potentials import certify, check_exponent
 from .solution import NormalizedSolution
 
 __all__ = [
     "Controls", "ShootResult", "MassMapEntry", "ShootingError",
     "NonexistenceError", "NotFoundError", "PrecisionLimitError",
-    "integrate_ivp", "mass_map", "solve_for_beta",
+    "integrate_ivp", "mass_map", "solve_for_beta", "DEFAULT_BRACKET",
 ]
 
+DEFAULT_BRACKET = (-4.0, 4.0)   # ψ(0) bracket of the presets and the CLI
 _SERIES_TARGET = 1e-7     # |ψ(r0) − s| at the series/integrator handoff
 _PSI_CAP = 700.0          # clamp on every exponent; larger s is rejected
 _R_MAX_CAP = 1e6          # r_max extends up to this, then gives up
@@ -141,9 +142,9 @@ class Controls:
 
     Construction refuses, naming the field, a tolerance that is negative or
     not finite, an ``r_max`` that is not positive and finite, and an
-    ``n_sample`` below ``grids.MIN_NODES``: such values stall the
-    integrator or fail deep inside a solve.  ``tail_rel_tol = 0`` is legal
-    and extends every trajectory to the cap.
+    ``n_sample`` that is not an integer of at least ``grids.MIN_NODES``:
+    such values stall the integrator or fail deep inside a solve.
+    ``tail_rel_tol = 0`` is legal and extends every trajectory to the cap.
 
     ``r_max`` only sets where the first segment ends: every trajectory is
     extended past it until its tail fraction meets ``tail_rel_tol``.
@@ -172,9 +173,10 @@ class Controls:
         if not 0.0 < self.r_max < math.inf:
             raise ValueError(f"Controls.r_max must be positive and finite, "
                              f"got {self.r_max!r}")
-        if not self.n_sample >= MIN_NODES:
-            raise ValueError(f"Controls.n_sample must be at least {MIN_NODES}, "
-                             f"got {self.n_sample!r}")
+        if not (isinstance(self.n_sample, (int, np.integer))
+                and self.n_sample >= MIN_NODES):
+            raise ValueError(f"Controls.n_sample must be an integer of at "
+                             f"least {MIN_NODES}, got {self.n_sample!r}")
 
 
 @dataclass
@@ -430,9 +432,9 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     check_exponent(n)
     if sigma not in (-1, 1):
         raise ValueError("sigma must be ±1")
-    if isinstance(V, LogSingular):
-        raise ValueError("log-singular weight has no finite center value; "
-                         "use the closed-form oracle instead of shooting")
+    if V.smooth_at_origin() is None:
+        raise ValueError(f"weight {V!r} has no finite center value; use the "
+                         "closed-form oracle instead of shooting")
     if n > 0 and V.n_pow > 0:
         warnings.warn("both the ODE weight exponent n and the potential's own "
                       "r-power are nonzero; the effective weight is "
@@ -456,9 +458,8 @@ def _integrate(V, n, n_eff, s_list, c, sigma):
     """One ShootResult or ShootingError per centre value, integrated as one
     batch that starts at the members' smallest series radius."""
     out = [None] * len(s_list)
-    vs = V.smooth_scalar
+    vs, v0 = V.smooth_scalar, V.smooth_at_origin()      # Ṽ and Ṽ(0)
     k = n_eff + 2.0
-    v0 = vs(0.0) if V.n_pow == 0 else vs(1e-30)
     active, coef = [], []           # members still integrating, series a
     for i, s in enumerate(s_list):
         if s > _PSI_CAP:
@@ -623,21 +624,20 @@ def _beta(res, sigma):
     return sigma * math.inf if res is None else res.beta_s
 
 
-def _bracket_search(shoot, evaluated, beta_target, s_lo, g_lo, s_hi, g_hi):
-    """Expand [s_lo, s_hi] until g = β − target changes sign; return the
-    ends as (s_lo, g_lo, s_hi).
+def _bracket_search(shoot, evaluated, beta_target, s_lo, s_hi):
+    """Expand [s_lo, s_hi] until g = β − target changes sign; return it.
 
     ``shoot(s)`` evaluates g(s) into ``evaluated``; g is ±inf where the mass
     diverges (the map runs off its end).  Raises NotFoundError when every
     trajectory diverges, when an expansion moves β by less than 1e-9 (the map
     saturated short of the target), or after ``_MAX_EXPAND`` expansions.
     """
+    g_lo, g_hi = shoot(s_lo), shoot(s_hi)
     for attempt in range(_MAX_EXPAND + 1):
         # a zero end is tested on its own: 0·inf is NaN
         if g_lo == 0.0 or g_hi == 0.0 or g_lo * g_hi < 0.0:
-            return s_lo, g_lo, s_hi
-        if (attempt == _MAX_EXPAND
-                or all(res is None for res in evaluated.values())):
+            return s_lo, s_hi
+        if attempt == _MAX_EXPAND or not any(evaluated.values()):
             _not_found(beta_target, evaluated)
         # both ends miss on one side: grow s_hi when β rises toward the
         # target (increasing below it, or decreasing above it), else s_lo
@@ -652,33 +652,36 @@ def _bracket_search(shoot, evaluated, beta_target, s_lo, g_lo, s_hi, g_hi):
             _not_found(beta_target, evaluated)
 
 
-def _not_found(beta_target, evaluated):
+def _ranges(evaluated):
+    """NotFoundError's (beta_range or None, s_range) over ``evaluated``."""
     finite = [res.beta_s for res in evaluated.values() if res is not None]
-    s_range = (min(evaluated), max(evaluated))
-    where = f"s in [{s_range[0]:g}, {s_range[1]:g}]"
-    if not finite:
-        raise NotFoundError(
-            f"target beta = {beta_target:g} not found: every trajectory "
-            f"diverged over {where}", s_range=s_range)
+    return ((min(finite), max(finite)) if finite else None,
+            (min(evaluated), max(evaluated)))
+
+
+def _not_found(beta_target, evaluated):
+    beta_range, s_range = _ranges(evaluated)
+    seen = ("every trajectory diverged" if beta_range is None
+            else "scanned beta(s) range [{:.6g}, {:.6g}]".format(*beta_range))
     raise NotFoundError(
-        f"target beta = {beta_target:g} not found: scanned beta(s) range "
-        f"[{min(finite):.6g}, {max(finite):.6g}] over {where}",
-        beta_range=(min(finite), max(finite)), s_range=s_range)
+        f"target beta = {beta_target:g} not found: {seen} over s in "
+        f"[{s_range[0]:g}, {s_range[1]:g}]", beta_range, s_range)
 
 
 def solve_for_beta(V, n, beta_target, bracket, controls=None):
     """Root-find s* with β(s*) = β_target; return the normalized solution.
 
-    Raises ValueError for an input outside the domain and
-    NonexistenceError, before any trajectory, when
-    ``potentials.certify`` names a condition that (V, n, β_target) violates,
-    and NotFoundError when the search ends without a root otherwise.  When
-    both bracket ends already lie within ``root_tol`` of the target the
-    map is a flat family and the upper end is returned; one end alone is
-    never accepted, since a map that saturates toward the target drifts
-    inside any tolerance.  Otherwise the bracket is expanded to a sign
-    change and ``_root_search`` finds the root by bracketed Newton on the
-    exact tail-corrected β′(s).  A result is flagged
+    Raises ValueError for an input outside the domain, NonexistenceError,
+    before any trajectory, when ``potentials.certify`` names a condition
+    that (V, n, β_target) violates, and NotFoundError when the search ends
+    without a root otherwise.  A pure power (``V.log_slope_range()`` one
+    value g) maps every s to the β = n + 2 + g that ``certify`` matched to
+    the target: only the upper end is integrated, and it is returned when
+    its own error leaves β within 1e-6·max(1, |β_target|), not ``root_tol``.
+    No other end is accepted on a tolerance, since a map that saturates
+    toward the target drifts inside any tolerance: the bracket is expanded
+    to a sign change and ``_root_search`` finds the root by bracketed
+    Newton on the exact tail-corrected β′(s).  A result is flagged
     ``multiple_roots_possible`` when one evaluated trajectory has
     β′ > ``root_tol`` and another β′ < −``root_tol``.
     """
@@ -701,19 +704,17 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
                 evaluated[s] = None
         return _beta(evaluated[s], sigma) - beta_target
 
-    g_lo, g_hi = shoot(s_lo), shoot(s_hi)
-    flat = abs(g_lo) < c.root_tol and abs(g_hi) < c.root_tol
+    g_range = V.log_slope_range()
+    flat = g_range is not None and g_range[0] == g_range[1]
     if not flat:
-        s_lo, g_lo, s_hi = _bracket_search(shoot, evaluated, beta_target,
-                                           s_lo, g_lo, s_hi, g_hi)
+        s_lo, s_hi = _bracket_search(shoot, evaluated, beta_target, s_lo, s_hi)
+    elif not abs(shoot(s_hi)) <= 1e-6 * max(1.0, abs(beta_target)):
+        _not_found(beta_target, evaluated)
     n_bracket = len(evaluated)
-    s_star = s_hi if flat else _root_search(shoot, evaluated, sigma,
-                                            beta_target, c.root_tol,
-                                            s_lo, g_lo, s_hi)
+    s_star = s_hi if flat else _root_search(
+        shoot, evaluated, sigma, beta_target, c.root_tol, s_lo, s_hi)
 
-    # the stored β is the realized map value β(s*); it differs from the
-    # requested target by less than root_tol and keeps every column
-    # self-consistent
+    # the stored β is the realized β(s*): it keeps every column consistent
     out = evaluated[s_star].to_normalized()
     out.tolerances = {"abs_tol": c.abs_tol, "rel_tol": c.rel_tol,
                       "root_tol": c.root_tol, "tail_rel_tol": c.tail_rel_tol}
@@ -727,8 +728,7 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     return out
 
 
-def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
-                 s_lo, g_lo, s_hi):
+def _root_search(shoot, evaluated, sigma, beta_target, root_tol, s_lo, s_hi):
     """s* with |β(s*) − target| < root_tol inside a sign-change bracket.
 
     Bracketed Newton (``rtsafe``, *Numerical Recipes* §9.4): each step is a
@@ -740,7 +740,7 @@ def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
     mass diverges at one end, since the target then lies at the end of the
     reachable range, else with PrecisionLimitError.
     """
-    g_hi = shoot(s_hi)
+    g_lo, g_hi = shoot(s_lo), shoot(s_hi)
     last = s_hi - s_lo
     for _ in range(_MAX_ROOT_ITER):
         # a diverged end has |g| = inf, so the nearest end is never one
@@ -757,23 +757,18 @@ def _root_search(shoot, evaluated, sigma, beta_target, root_tol,
                     # g changes sign across the bracket: one end is finite
                     s_fin, s_inf = ((s_lo, s_hi) if math.isinf(b_hi)
                                     else (s_hi, s_lo))
-                    finite = [r.beta_s for r in evaluated.values()
-                              if r is not None]
                     raise NotFoundError(
                         f"target beta = {beta_target:.12g} lies at the end of "
                         f"the reachable range: beta = "
                         f"{evaluated[s_fin].beta_s:.12g} at "
                         f"s = {s_fin!r}, and the mass diverges from the next "
-                        f"double, s = {s_inf!r}, on",
-                        beta_range=(min(finite), max(finite)),
-                        s_range=(min(evaluated), max(evaluated)))
+                        f"double, s = {s_inf!r}, on", *_ranges(evaluated))
                 raise PrecisionLimitError(
                     f"beta root cannot be resolved in double precision: the "
                     f"bracket ends s = {s_lo!r} and {s_hi!r} are adjacent "
                     f"doubles, with beta = {b_lo:.12g} and {b_hi:.12g} "
                     f"there; target {beta_target:.12g}",
-                    beta_range=tuple(sorted((b_lo, b_hi))),
-                    s_range=(s_lo, s_hi))
+                    tuple(sorted((b_lo, b_hi))), (s_lo, s_hi))
         last = abs(s_new - s_end)
         g_new = shoot(s_new)
         if abs(g_new) < root_tol:

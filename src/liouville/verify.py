@@ -81,9 +81,9 @@ class IdentityReport:
         return text
 
 
-def _cumulative_integrals(sol, V):
-    """(M, J) at every node: the mass M(r) = 2π ∫₀^r tⁿ⁺¹V e^{ψ̃} dt and the
-    partial index integral J(r) = 2π ∫₀^r tⁿ⁺²V′ e^{ψ̃} dt.
+def _cumulative_integrals(sol, V, v, dv):
+    """(M, J) at every node, from V and V′ there (v, dv): the mass
+    M(r) = 2π ∫₀^r tⁿ⁺¹V e^{ψ̃} dt and the index J(r) = 2π ∫₀^r tⁿ⁺²V′ e^{ψ̃} dt.
 
     Cumulative Simpson in log r from the first node, seeded with
     M(r₀) = −rψ̃′(r₀)/(2β) (the only column value trusted below it) and the
@@ -94,7 +94,6 @@ def _cumulative_integrals(sol, V):
     r = sol.grid.nodes
     x = np.log(r)
     beta, n = sol.beta, sol.n
-    v, dv = V.value_and_derivative(r)
     e_psi = np.exp(sol.psi)
     y_mass = r ** (n + 2.0) * v * e_psi                   # integrands · r
     y_index = r ** (n + 3.0) * dv * e_psi
@@ -213,10 +212,10 @@ def pokhozhaev_P(sol, V):
     psi_raw = sol.psi + math.log(4.0 * math.pi * abs(beta))
     u = sol.dpsi
 
-    v = V.value(r)
+    v, dv = V.value_and_derivative(r)
     e_psi = np.exp(psi_raw)
     P = u * (0.5 * u + beta) + r ** (n + 2.0) * v * e_psi
-    mass, index = _cumulative_integrals(sol, V)
+    mass, index = _cumulative_integrals(sol, V, v, dv)
 
     out = {
         "r": r, "P": P,

@@ -162,8 +162,6 @@ def test_every_control_is_read_and_every_config_key_is_a_control():
 
 WEIGHT_CLASSES = {"Constant", "PowerGauss", "Sphere", "LogSingular",
                   "Tabulated"}
-# shooting refuses the log-singular weight, which has no finite center value
-ALLOWED_WEIGHT_TESTS = {("shooting", "integrate_ivp", "LogSingular")}
 
 
 def _weight_type_tests(path):
@@ -192,7 +190,7 @@ def test_no_module_tests_a_weight_type():
     # branches on the weight's type must be edited for every new weight
     found = [(path.stem, func, cls) for path in sorted(PACKAGE.glob("*.py"))
              for func, cls in _weight_type_tests(path)]
-    assert [site for site in found if site not in ALLOWED_WEIGHT_TESTS] == []
+    assert found == []
 
 
 def test_every_shootable_weight_bounds_its_smooth_factor():

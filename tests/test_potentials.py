@@ -117,6 +117,11 @@ def test_negative_power_rejects_origin():
 def test_smooth_value_is_finite_at_origin():
     V = PowerGauss(n_pow=2.0, gamma=1.0, alpha_exp=2.0)
     assert V.smooth_scalar(0.0) == 1.0
+    # Ṽ(0) starts the shooting series; the former stand-in Ṽ(1e-30) read
+    # e^{−1e-3} for this small exponent α = 0.1
+    assert PowerGauss(1.0, 1.0, 0.1).smooth_at_origin() == 1.0
+    assert Sphere(-1.0, 0.5).smooth_at_origin() == math.e
+    assert LogSingular(alpha_cut=0.3).smooth_at_origin() is None
 
 
 # --- integrability exponent alpha(V) ---------------------------------------

@@ -132,7 +132,8 @@ _OUT_OF_DOMAIN = (
                                 "root_tol")
      for value in (math.nan, math.inf, -math.inf, -1e-9)]
     + [("r_max", value) for value in (math.nan, math.inf, 0.0, -8.0)]
-    + [("n_sample", 15), ("n_sample", 0)])
+    + [("n_sample", 15), ("n_sample", 0), ("n_sample", 64.5),
+       ("n_sample", 1e7)])
 
 
 @pytest.mark.parametrize("name, value", _OUT_OF_DOMAIN,
@@ -140,13 +141,15 @@ _OUT_OF_DOMAIN = (
 def test_controls_refuse_a_value_out_of_its_domain(name, value):
     # regression: integrate_ivp(PowerGauss(0, 1, 2), 0, 1, Controls(abs_tol=
     # nan)) and any trajectory under Controls(r_max=nan) ran for over 30 s
-    # without returning.  A zero tolerance and the benchmark's warm-up
-    # controls stay legal
+    # without returning, and a float n_sample failed in np.geomspace after
+    # integrating.  A zero tolerance, the benchmark's warm-up controls and
+    # a numpy integer stay legal
     with pytest.raises(ValueError, match=rf"Controls\.{name} must be .*"
                                          rf"got {value!r}"):
         Controls(**{name: value})
     Controls(abs_tol=0.0, tail_rel_tol=0.0, r_max=8.0, n_sample=16)
     Controls(r_max=8.0, n_sample=64)
+    Controls(n_sample=np.int64(64))
 
 
 def test_zero_tail_tolerance_doubles_to_the_cap():
@@ -704,13 +707,14 @@ def test_saturating_map_never_fakes_a_root():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: the tail quad returns a negative "
-                          "tail, which passes the stop test")
+                   reason="ROADMAP item 2: at the cap r_max = 1e6 the tail "
+                          "quad returns a negative tail, which passes the "
+                          "stop test with beta = 1.9999929")
 def test_constant_weight_deep_start_does_not_converge_to_a_wrong_beta():
     # V ≡ 1, n = 0: every trajectory carries β = 2 (Chen & Li 1991).  At
-    # s = −13 the solver stops at r_max = 64 with β ≈ 3.1e-6 on a tail of
-    # about −4.6e-3, which passes the tail test; a MassDivergence would be
-    # a correct refusal
+    # s = −13 the solver extends r_max to the cap 1e6 and stops there with
+    # β ≈ 1.9999929 on a tail of about −2.5e-11, which passes the tail
+    # test; a MassDivergence would be a correct refusal
     try:
         res = integrate_ivp(Constant(1.0), 0.0, -13.0)
     except MassDivergence:
@@ -726,14 +730,78 @@ def test_constant_weight_off_its_only_coupling_is_nonexistence():
         solve_for_beta(Constant(1.0), 0.0, 1.0, (-4.0, 4.0))
 
 
-def test_flat_family_is_accepted():
+def test_flat_family_is_accepted(monkeypatch):
     # V≡1 at weight exponent 2: every s gives β = 4 (scaling family), so the
-    # bracket is flat at the target and any member solves the problem
+    # upper end alone is integrated, and it is a conformal bubble
+    calls, _ = _count_trajectories(monkeypatch)
     sol = solve_for_beta(Constant(1.0), 2.0, 4.0, (-2.0, 3.0))
+    assert [args[2] for args in calls] == [3.0]
     assert sol.beta == pytest.approx(4.0, abs=1e-6)
     assert sol.meta["beta_target"] == 4.0
+    report = check_identities(sol)
+    assert max(report.mass_residual, report.pokhozhaev_residual) <= 1e-6
     exact = conformal_bubble(2.0, bubble_lambda(sol), sol.grid)
     assert float(np.max(np.abs(sol.psi - exact.psi))) < 1e-6
+
+
+_PURE_POWERS = (
+    [(Constant(1.0), 0.0, 2.0, bracket) for bracket in
+     [(-4.0, 4.0), (-2.0, 2.0), (-1.0, 1.0), (0.0, 3.0), (-8.0, -5.0)]]
+    + [(Constant(1.0), 2.0, 4.0, bracket)
+       for bracket in [(-3.0, -1.0)]]
+    + [(PowerGauss(1.0, 0.0, 2.0), 0.0, 3.0, bracket)
+       for bracket in [(-4.0, 4.0), (-1.0, 1.0)]])
+
+
+@pytest.mark.parametrize("V, n, beta, bracket", _PURE_POWERS,
+                         ids=[f"{V!r}-n{n:g}-{lo:g},{hi:g}"
+                              for V, n, _, (lo, hi) in _PURE_POWERS])
+def test_pure_power_map_costs_one_trajectory(monkeypatch, V, n, beta,
+                                             bracket):
+    # V = c·r^g maps every s to β = n + 2 + g (the scaling family), read
+    # from V.log_slope_range(): the upper end alone is integrated.
+    # Regression: a two-end root_tol test missed by 1.75e-8 at s = 0 of
+    # V ≡ 1, and the four n = 0 brackets other than (−4, 4) ended in
+    # NotFoundError with "scanned beta(s) range [2, 2]"
+    calls, _ = _count_trajectories(monkeypatch)
+    sol = solve_for_beta(V, n, beta, bracket)
+    assert [args[2] for args in calls] == [bracket[1]]
+    assert sol.meta["s_star"] == bracket[1]
+    assert sol.meta["root_iterations"] == 0
+    assert abs(sol.beta - beta) <= 1e-6
+    report = check_identities(sol)
+    assert report.mass_residual <= 1e-6
+    assert report.pokhozhaev_residual <= 1e-6
+
+
+_OFF_TARGET_POWERS = {
+    # a zero tail tolerance is never met: the trajectory runs to the cap
+    "diverged": (Constant(1.0), 0.0, 2.0, (-4.0, 4.0),
+                 Controls(tail_rel_tol=0.0),
+                 r"every trajectory diverged over s in \[4, 4\]$"),
+    # V = r^−1.5 gives every solution β = 0.5, but the slow tail at s = −4
+    # stops at the 10⁶ cap 2.7 % short of it
+    "slow_tail": (PowerGauss(-1.5, 0.0, 2.0), 0.0, 0.5, (-8.0, -4.0), None,
+                  r"scanned beta\(s\) range \[0.486713, 0.486713\] "
+                  r"over s in \[-4, -4\]$"),
+    # V ≡ 0 has β = 0 at every s, where 2 is asked for
+    "zero_weight": (Constant(0.0), 0.0, 2.0, (-4.0, 4.0), None,
+                    r"scanned beta\(s\) range \[0, 0\] over s in \[4, 4\]$"),
+}
+
+
+@pytest.mark.parametrize("V, n, beta, bracket, controls, match",
+                         _OFF_TARGET_POWERS.values(),
+                         ids=_OFF_TARGET_POWERS.keys())
+def test_pure_power_map_off_its_beta_is_not_found(monkeypatch, V, n, beta,
+                                                  bracket, controls, match):
+    # the one trajectory of a pure power is refused, naming its β and s,
+    # when it misses the target by more than 1e-6·max(1, |target|).
+    # Regression: the slow tail and the zero weight were returned
+    calls, _ = _count_trajectories(monkeypatch)
+    with pytest.raises(NotFoundError, match=match):
+        solve_for_beta(V, n, beta, bracket, controls)
+    assert [args[2] for args in calls] == [bracket[1]]
 
 
 def bubble_lambda(sol):
