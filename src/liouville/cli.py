@@ -9,6 +9,12 @@ residual exceeds its bound in `verify`.  Commands let errors propagate and
 command exits 2.  Console numbers are rounded to 6 significant digits; files
 always carry full double precision.
 
+`oracle` and `app` take one subcommand per kind (`oracle bubble`,
+`app css`, …), and each subcommand declares only the options it reads, so
+click refuses an option of another kind.  No option is dropped silently:
+`scan` refuses `--s-list` together with `--s-range` or `--points`, and
+`app onsager` takes exactly one of `--beta-stat` and `--scan`.
+
 Potentials are given as one-line descriptors, e.g. ``gauss:gamma=1,alpha=2``
 or ``table=weights.csv``.
 """
@@ -19,6 +25,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .applications import (CSS, Onsager, SphericalOnsager,
                            onsager_temperature_scan, scan_rows_to_csv,
@@ -94,6 +101,14 @@ def _summary(sol, report=None):
     return "  ".join(bits)
 
 
+def _report(sol, out_path):
+    """Print the summary of a solved profile that passes `_checked`, then
+    save it when ``out_path`` is set."""
+    click.echo(_summary(sol, _checked(sol)))
+    if out_path:
+        _save(sol, out_path)
+
+
 @click.group()
 def cli():
     """Radial Liouville solver: -Δψ = 4πβ Ve^ψ on the plane, unit mass."""
@@ -129,9 +144,7 @@ def solve(method, beta, n_exp, potential_spec, bracket, out_path):
         if bracket is not None:
             raise click.UsageError("the variational backend takes no --bracket")
         sol, _ = variational_solve(V, n_exp, beta)
-    click.echo(_summary(sol, _checked(sol)))
-    if out_path:
-        _save(sol, out_path)
+    _report(sol, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +159,22 @@ def solve(method, beta, n_exp, potential_spec, bracket, out_path):
               help="ψ(0) sweep endpoints lo,hi.")
 @click.option("--points", type=int, default=31, show_default=True)
 @click.option("--s-list", default=None,
-              help="Explicit comma-separated ψ(0) values (overrides range).")
+              help="Explicit comma-separated ψ(0) values, in place of "
+                   "--s-range and --points.")
 @click.option("--sigma", type=click.Choice(["1", "-1"]), default="1",
               show_default=True, help="Coupling sign branch.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-def scan(n_exp, potential_spec, s_range, points, s_list, sigma, out_path):
+@click.pass_context
+def scan(ctx, n_exp, potential_spec, s_range, points, s_list, sigma,
+         out_path):
     """Tabulate the mass map s ↦ (β(s), β′(s)) as CSV."""
     V = _potential_or_usage(potential_spec)
     if s_list is not None:
+        given = [f"--{name}" for name in ("s-range", "points")
+                 if ctx.get_parameter_source(name.replace("-", "_"))
+                 is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(f"--s-list excludes {' and '.join(given)}")
         values = _numbers(s_list, "s-list")
     else:
         lo, hi = _numbers(s_range, "s-range", 2)
@@ -185,7 +206,8 @@ def scan(n_exp, potential_spec, s_range, points, s_list, sigma, out_path):
 @cli.command()
 @click.argument("solution_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--potential", "potential_spec", default=None,
-              help="Override when the stored descriptor is missing.")
+              help="Weight descriptor to check against, in place of the "
+                   "stored one.")
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="Also write the report JSON here.")
 def verify(solution_file, potential_spec, out_path):
@@ -197,87 +219,115 @@ def verify(solution_file, potential_spec, out_path):
         click.echo(f"wrote {out_path}")
 
 
-@cli.command()
-@click.option("--kind", type=click.Choice(["bubble", "sharp"]),
-              required=True, help="Closed-form family to emit.")
+@cli.group()
+def oracle():
+    """Write an exact reference solution for solver cross-checks."""
+
+
+_RADIUS = click.option("--radius", type=float, default=40.0, show_default=True)
+_NODES = click.option("--nodes", type=int, default=4096, show_default=True)
+_ORACLE_OUT = click.option("--out", "out_path", required=True,
+                           type=click.Path())
+
+
+def _emit(sol, out_path):
+    """Save an exact profile and print its summary; no gate applies."""
+    _save(sol, out_path)
+    click.echo(_summary(sol))
+
+
+@oracle.command("bubble")
 @click.option("--lam", type=float, default=1.0, show_default=True,
               help="Bubble scale λ.")
 @click.option("--n-fam", type=float, default=1.0, show_default=True,
               help="Bubble family exponent (β = 2·n_fam).")
+@_RADIUS
+@_NODES
+@_ORACLE_OUT
+def oracle_bubble(lam, n_fam, radius, nodes, out_path):
+    """The conformal bubble family."""
+    _emit(conformal_bubble(n_fam, lam, make_grid(radius, nodes)), out_path)
+
+
+@oracle.command("sharp")
 @click.option("--alpha", type=float, default=math.exp(-1.0),
-              help="Sharp-example cutoff in (0,1).  [default: 1/e]")
-@click.option("--radius", type=float, default=40.0, show_default=True)
-@click.option("--nodes", type=int, default=4096, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def oracle(kind, lam, n_fam, alpha, radius, nodes, out_path):
-    """Write an exact reference solution for solver cross-checks."""
-    grid = make_grid(radius, nodes)
-    if kind == "bubble":
-        sol = conformal_bubble(n_fam, lam, grid)
-    else:
-        _, sol = sharp_regularity_example(alpha, grid)
-    _save(sol, out_path)
-    click.echo(_summary(sol))
+              help="Cutoff in (0,1).  [default: 1/e]")
+@_RADIUS
+@_NODES
+@_ORACLE_OUT
+def oracle_sharp(alpha, radius, nodes, out_path):
+    """The sharp log-singular example, β = 1/(4 log α) < 0."""
+    _emit(sharp_regularity_example(alpha, make_grid(radius, nodes))[1],
+          out_path)
 
 
 # ---------------------------------------------------------------------------
 # applications
 
 
-@cli.command()
-@click.argument("kind", type=click.Choice(["onsager", "sphere", "css"]))
-@click.option("--n", "n_exp", type=float, default=0.0, show_default=True)
-@click.option("--gamma", type=float, default=None,
-              help="Onsager confinement / sphere conformal weight.")
-@click.option("--alpha-exp", type=float, default=2.0, show_default=True,
-              help="Onsager confinement exponent.")
-@click.option("--beta-stat", type=float, default=None,
-              help="Onsager statistical temperature (β_eq = −β_stat/4π).")
-@click.option("--l", "l_exp", type=float, default=None,
-              help="Sphere projection exponent.")
-@click.option("--beta", type=float, default=None,
-              help="Coupling for sphere/css.")
-@click.option("--n-int", type=int, default=None, help="CSS winding number.")
-@click.option("--B", "b_field", type=float, default=1.0, show_default=True,
-              help="CSS magnetic field strength.")
-@click.option("--scan", "scan_list", default=None,
-              help="Onsager only: comma list of β_stat values → CSV table.")
-@click.option("--out", "out_path", default=None, type=click.Path())
-def app(kind, n_exp, gamma, alpha_exp, beta_stat, l_exp, beta, n_int, b_field,
-        scan_list, out_path):
+@cli.group()
+def app():
     """Solve a physics preset (or sweep Onsager temperatures)."""
-    if scan_list is not None:
-        if kind != "onsager":
-            raise click.UsageError("--scan only applies to the onsager kind")
-        if out_path is None:
-            raise click.UsageError("--scan needs --out for the CSV table")
-        rows = onsager_temperature_scan(n_exp, gamma if gamma is not None
-                                        else 1.0, alpha_exp,
-                                        _numbers(scan_list, "scan"))
-        scan_rows_to_csv(rows, out_path)
-        for row in rows:
-            click.echo(f"beta_stat={_fmt(row.param)} -> {row.verdict}")
-        click.echo(f"wrote {out_path} ({len(rows)} rows)")
+
+
+_N_EXP = click.option("--n", "n_exp", type=float, default=0.0,
+                      show_default=True)
+_APP_OUT = click.option("--out", "out_path", default=None, type=click.Path())
+
+
+@app.command("onsager")
+@_N_EXP
+@click.option("--gamma", type=float, default=1.0, show_default=True,
+              help="Confinement strength.")
+@click.option("--alpha-exp", type=float, default=2.0, show_default=True,
+              help="Confinement exponent.")
+@click.option("--beta-stat", type=float, default=None,
+              help="Statistical temperature (β_eq = −β_stat/4π).")
+@click.option("--scan", "scan_list", default=None,
+              help="Comma list of β_stat values → CSV table at --out, in "
+                   "place of --beta-stat.")
+@_APP_OUT
+def app_onsager(n_exp, gamma, alpha_exp, beta_stat, scan_list, out_path):
+    """Point vortices confined by e^{−γ r^α}."""
+    if (beta_stat is None) == (scan_list is None):
+        raise click.UsageError("onsager takes exactly one of --beta-stat "
+                               "and --scan")
+    if beta_stat is not None:
+        _report(solve_app(Onsager(n_exp, gamma, alpha_exp, beta_stat)),
+                out_path)
         return
-    if kind == "onsager":
-        if beta_stat is None:
-            raise click.UsageError("onsager needs --beta-stat (or --scan)")
-        spec = Onsager(n=n_exp, gamma=gamma if gamma is not None else 1.0,
-                       alpha_exp=alpha_exp, beta_stat=beta_stat)
-    elif kind == "sphere":
-        if l_exp is None or beta is None:
-            raise click.UsageError("sphere needs --l and --beta")
-        spec = SphericalOnsager(n=n_exp, l=l_exp,
-                                gamma=gamma if gamma is not None else 0.0,
-                                beta=beta)
-    else:
-        if n_int is None or beta is None:
-            raise click.UsageError("css needs --n-int and --beta")
-        spec = CSS(n_int=n_int, beta=beta, B=b_field)
-    sol = solve_app(spec)
-    click.echo(_summary(sol, _checked(sol)))
-    if out_path:
-        _save(sol, out_path)
+    if out_path is None:
+        raise click.UsageError("--scan needs --out for the CSV table")
+    rows = onsager_temperature_scan(n_exp, gamma, alpha_exp,
+                                    _numbers(scan_list, "scan"))
+    scan_rows_to_csv(rows, out_path)
+    for row in rows:
+        click.echo(f"beta_stat={_fmt(row.param)} -> {row.verdict}")
+    click.echo(f"wrote {out_path} ({len(rows)} rows)")
+
+
+@app.command("sphere")
+@_N_EXP
+@click.option("--l", "l_exp", type=float, required=True,
+              help="Projection exponent.")
+@click.option("--gamma", type=float, default=0.0, show_default=True,
+              help="Conformal weight.")
+@click.option("--beta", type=float, required=True, help="Coupling.")
+@_APP_OUT
+def app_sphere(n_exp, l_exp, gamma, beta, out_path):
+    """Onsager flow on the sphere, stereographically projected."""
+    _report(solve_app(SphericalOnsager(n_exp, l_exp, gamma, beta)), out_path)
+
+
+@app.command("css")
+@click.option("--n-int", type=int, required=True, help="Winding number.")
+@click.option("--beta", type=float, required=True, help="Coupling.")
+@click.option("--B", "b_field", type=float, default=1.0, show_default=True,
+              help="Magnetic field strength.")
+@_APP_OUT
+def app_css(n_int, beta, b_field, out_path):
+    """Self-dual Chern–Simons–Schrödinger vortex."""
+    _report(solve_app(CSS(n_int, beta, b_field)), out_path)
 
 
 # ---------------------------------------------------------------------------

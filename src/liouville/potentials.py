@@ -120,13 +120,17 @@ class Potential:
         """2π ∫_1^∞ rⁿV(r) r^{1−β+δ} dr < ∞."""
         return beta > self.beta_window(n)[0] + delta
 
+    def _require(self, name, holds, want):
+        """Refuse parameter ``name``, naming its value, unless ``holds``."""
+        if not holds:
+            raise ValueError(f"weight parameter {name} must be {want}, "
+                             f"got {getattr(self, name):g}")
+
     def _require_finite(self):
         """Refuse a parameter that is NaN or infinite, naming it."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"weight parameter {f.name} must be finite, "
-                                 f"got {value:g}")
+            self._require(f.name, math.isfinite(getattr(self, f.name)),
+                          "finite")
 
     def has_positivity_annulus(self):
         """V > 0 on some annulus R1 < r < R2; the base samples [0.5, 2]."""
@@ -151,8 +155,7 @@ class Constant(Potential):
 
     def __post_init__(self):
         self._require_finite()
-        if self.c < 0:
-            raise ValueError("constant weight must be non-negative")
+        self._require("c", self.c >= 0, "non-negative")
 
     def _value_deriv(self, r):
         return np.full_like(r, self.c), np.zeros_like(r)
@@ -180,10 +183,8 @@ class PowerGauss(Potential):
 
     def __post_init__(self):
         self._require_finite()
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.alpha_exp <= 0:
-            raise ValueError("alpha_exp must be positive")
+        self._require("gamma", self.gamma >= 0, "non-negative")
+        self._require("alpha_exp", self.alpha_exp > 0, "positive")
 
     def _value_deriv(self, r):
         if self.n_pow < 0 and np.any(r == 0):
@@ -226,8 +227,7 @@ class Sphere(Potential):
 
     def __post_init__(self):
         self._require_finite()
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        self._require("gamma", self.gamma >= 0, "non-negative")
 
     def _value_deriv(self, r):
         q = 1.0 + r * r
@@ -275,8 +275,7 @@ class LogSingular(Potential):
     decay_power = -math.inf   # supported inside the unit disk
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_cut < 1.0):
-            raise ValueError("alpha_cut must lie in (0, 1)")
+        self._require("alpha_cut", 0.0 < self.alpha_cut < 1.0, "in (0, 1)")
 
     @property
     def beta(self):

@@ -435,14 +435,10 @@ def integrate_ivp(V, n, s, controls=None, sigma=1):
     if V.smooth_at_origin() is None:
         raise ValueError(f"weight {V!r} has no finite center value; use the "
                          "closed-form oracle instead of shooting")
-    if n > 0 and V.n_pow > 0:
-        warnings.warn("both the ODE weight exponent n and the potential's own "
-                      "r-power are nonzero; the effective weight is "
-                      "r^(n+n_pow)·(smooth factor) — do not double-count",
-                      stacklevel=2)
     n_eff = n + float(V.n_pow)
     if n_eff + 2.0 <= 0.0:
-        raise ValueError("effective weight exponent must exceed −2")
+        raise ValueError("effective weight exponent n + n_pow must exceed "
+                         f"−2, got {n_eff:g}")
     for value in np.ravel(s):
         if not math.isfinite(value):
             raise ValueError(f"center value s = {value:g} is not finite")
@@ -688,7 +684,8 @@ def solve_for_beta(V, n, beta_target, bracket, controls=None):
     c = controls or Controls()
     s_lo, s_hi = float(bracket[0]), float(bracket[1])
     if not s_lo < s_hi:
-        raise ValueError("bracket must satisfy s_lo < s_hi")
+        raise ValueError(f"bracket must satisfy s_lo < s_hi, got s_lo = "
+                         f"{s_lo:g}, s_hi = {s_hi:g}")
     reason = certify(V, n, beta_target)
     if reason is not None:
         raise NonexistenceError(reason)

@@ -158,9 +158,24 @@ def test_scan_s_list_and_validation(tmp_path, capsys):
     assert not bad.exists()
 
 
+def test_scan_whose_every_entry_fails(tmp_path, capsys):
+    # σ = −1 at s = 5 and 6: both trajectories blow up; each entry is named
+    # on stderr and the table keeps its NaN rows
+    out = tmp_path / "f.csv"
+    assert run("scan", "--potential", "gauss:gamma=1", "--sigma", -1,
+               "--s-list", "5,6", "--out", out) == 0
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == \
+        ["s=5", "s=6"]
+    assert "2 rows, all failed" in captured.out
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [SCAN_HEADER, ["5.0", "nan", "nan"], ["6.0", "nan", "nan"]]
+
+
 def test_oracle_emission(tmp_path, capsys):
     bub = tmp_path / "bubble.json"
-    assert run("oracle", "--kind", "bubble", "--lam", 2.0, "--n-fam", 1,
+    assert run("oracle", "bubble", "--lam", 2.0, "--n-fam", 1,
                "--out", bub) == 0
     assert "beta=2" in capsys.readouterr().out
     assert run("verify", bub) == 0
@@ -171,7 +186,7 @@ def test_oracle_emission(tmp_path, capsys):
     assert out["mass_residual"] == pytest.approx(tail, rel=1e-3)
 
     sharp = tmp_path / "sharp.json"
-    assert run("oracle", "--kind", "sharp", "--alpha", math.exp(-1.0),
+    assert run("oracle", "sharp", "--alpha", math.exp(-1.0),
                "--out", sharp) == 0
     assert sharp.with_suffix(".csv").exists()
 
@@ -183,7 +198,7 @@ def test_oracle_refuses_a_non_finite_bubble_parameter(tmp_path, capsys, flag,
                                                       value):
     # regression: --lam nan exited 0 and wrote a CSV of nan rows
     out = tmp_path / "o.json"
-    assert run("oracle", "--kind", "bubble", flag, value, "--out", out) == 1
+    assert run("oracle", "bubble", flag, value, "--out", out) == 1
     name = flag.lstrip("-").replace("-", "_")
     assert f"{name} must be positive and finite, got {value}" in \
         capsys.readouterr().err
@@ -203,7 +218,48 @@ def test_app_exit_codes(tmp_path, capsys):
     assert "beta=1 " in capsys.readouterr().out
 
     assert run("app", "sphere", "--beta", 1) == 1      # missing --l
-    assert "sphere needs" in capsys.readouterr().err
+    assert "Missing option '--l'" in capsys.readouterr().err
+
+
+# (argv, text the refusal names); each command gets "--out" appended
+_UNREAD = [
+    (("app", "css", "--n-int", 1, "--beta", 2, "--n", 7),
+     "No such option '--n'"),
+    (("app", "css", "--n-int", 1, "--beta", 2, "--gamma", 5),
+     "No such option '--gamma'"),
+    (("app", "sphere", "--l", -1, "--beta", 0.9, "--beta-stat", 3),
+     "No such option '--beta-stat'"),
+    (("app", "sphere", "--l", -1, "--beta", 0.9, "--alpha-exp", 9),
+     "No such option '--alpha-exp'"),
+    (("app", "sphere", "--l", -1, "--beta", 0.9, "--n-int", 4),
+     "No such option '--n-int'"),
+    (("app", "onsager", "--beta-stat", -10, "--beta", 5),
+     "No such option '--beta'"),
+    (("app", "onsager", "--beta-stat", -10, "--l", 3),
+     "No such option '--l'"),
+    (("app", "onsager", "--beta-stat", -10, "--scan", "1,2"),
+     "exactly one of --beta-stat and --scan"),
+    (("app", "onsager"), "exactly one of --beta-stat and --scan"),
+    (("oracle", "sharp", "--lam", 5), "No such option '--lam'"),
+    (("oracle", "bubble", "--alpha", 0.5), "No such option '--alpha'"),
+    (("scan", "--potential", "gauss:gamma=1", "--s-list", "0,1",
+      "--s-range", "5,6", "--points", 7),
+     "--s-list excludes --s-range and --points"),
+    (("scan", "--s-list", "0,1", "--points", 7),
+     "--s-list excludes --points")]
+
+
+@pytest.mark.parametrize("argv, named", _UNREAD,
+                         ids=[" ".join(map(str, a)) for a, _ in _UNREAD])
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys,
+                                                        argv, named):
+    # regression: each but the bare `app onsager` exited 0 and dropped an
+    # option without a word; app css with --n 7 solved at n = 2, app
+    # onsager with --beta 5 solved at beta = 0.795775, and scan wrote the
+    # --s-list rows only
+    assert run(*argv, "--out", tmp_path / "x.json") == 1
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_app_onsager_scan_table(tmp_path, capsys):
@@ -217,6 +273,9 @@ def test_app_onsager_scan_table(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["param", "verdict", "psi0", "mass_inner", "beta_eq"]
     assert rows[1][1] == "solved" and rows[2][1] == "nonexistence"
+
+    assert run("app", "onsager", "--scan", temps) == 1
+    assert "--scan needs --out" in capsys.readouterr().err
 
 
 def test_plot_svg_deterministic(tmp_path, capsys):
@@ -240,6 +299,23 @@ def test_plot_svg_deterministic(tmp_path, capsys):
     empty.write_text("a,b\n")
     assert run("plot", empty, "--out", tmp_path / "e.svg") == 1
     assert "no rows" in capsys.readouterr().err
+
+
+def test_plot_without_y_draws_every_numeric_column(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("x,label,a,b\n1,p,2,3\n2,q,4,5\n")
+    svg = tmp_path / "t.svg"
+    assert run("plot", table, "--out", svg) == 0
+    body = svg.read_text()
+    assert body.count("<polyline") == 2
+    assert ">a</text>" in body and ">b</text>" in body
+    assert ">label</text>" not in body
+
+    words = tmp_path / "w.csv"
+    words.write_text("x,label\n1,p\n")
+    assert run("plot", words, "--out", tmp_path / "w.svg") == 1
+    assert "no numeric columns to plot" in capsys.readouterr().err
+    assert not (tmp_path / "w.svg").exists()
 
 
 def test_onsager_without_confinement_is_nonexistence(capsys):
@@ -449,6 +525,23 @@ _OUT_OF_DOMAIN = [
      "center value s = nan is not finite"),
     (("scan", "--n", "nan", "--out", "{out}"), 1,
      "n must be finite and non-negative, got nan"),
+    (("solve", "--beta", 1, "--potential", "const:c=-1"), 1,
+     "weight parameter c must be non-negative, got -1"),
+    (("solve", "--beta", 1, "--potential", "gauss:gamma=-1"), 1,
+     "weight parameter gamma must be non-negative, got -1"),
+    (("solve", "--beta", 1, "--potential", "gauss:alpha=0"), 1,
+     "weight parameter alpha_exp must be positive, got 0"),
+    (("solve", "--beta", 1, "--potential", "sphere:l=-1,gamma=-2"), 1,
+     "weight parameter gamma must be non-negative, got -2"),
+    (("solve", "--beta", 1, "--potential", "logsing:alpha=2"), 1,
+     "weight parameter alpha_cut must be in (0, 1), got 2"),
+    (("solve", "--beta", 1, "--potential", "gauss:gamma"), 1,
+     "malformed potential spec item 'gamma' (expected key=val)"),
+    (("solve", "--beta", 1, "--potential", GAUSS, "--bracket", "2,1"), 1,
+     "bracket must satisfy s_lo < s_hi, got s_lo = 2, s_hi = 1"),
+    (("scan", "--potential", "gauss:npow=-2.5", "--s-list", "0,1",
+      "--out", "{out}"), 1,
+     "effective weight exponent n + n_pow must exceed −2, got -2.5"),
     # one (V, n, β) gets one exit code on both backends
     (("solve", "--beta", -0.1, "--potential", "sphere:l=-1,gamma=1"), 2,
      "finite mass needs beta >= (n + 2 + p)/2 = 0"),

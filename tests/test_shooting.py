@@ -275,10 +275,16 @@ def test_log_singular_weight_rejected():
         integrate_ivp(LogSingular(alpha_cut=math.exp(-1.0)), 0.0, 0.0)
 
 
-def test_double_weight_warns():
-    with pytest.warns(UserWarning, match="double-count"):
-        integrate_ivp(PowerGauss(n_pow=2.0, gamma=1.0, alpha_exp=2.0),
-                      1.0, 0.0)
+def test_weight_power_and_n_are_one_exponent():
+    # rⁿ·r^{n_pow} is one weight: n = 1 with n_pow = 2 is n = 3 with none,
+    # bit for bit, and the solver says nothing about it
+    for s in (-1.0, 0.5, 2.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = integrate_ivp(PowerGauss(2.0, 1.0, 2.0), 1.0, s)
+        whole = integrate_ivp(PowerGauss(0.0, 1.0, 2.0), 3.0, s)
+        assert (split.beta_s, split.beta_prime_s) == (whole.beta_s,
+                                                       whole.beta_prime_s)
 
 
 def test_input_validation():
